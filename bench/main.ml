@@ -580,6 +580,11 @@ let hotshard_comparison ?json_file ppf =
   let recovery4 = recovery u4 zs4 in
   Format.fprintf ppf "hotshard 4-shard recovery: %.2f (target >= 0.70)@."
     recovery4;
+  if recovery4 < 0.70 then
+    failwith
+      (Printf.sprintf
+         "hotshard bench: 4-shard Zipfian+split recovery %.2f (< 0.70)"
+         recovery4);
   match json_file with
   | None -> ()
   | Some file ->

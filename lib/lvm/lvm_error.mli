@@ -35,8 +35,7 @@ type t =
 val of_vm : Lvm_vm.Error.t -> t
 
 val to_string : t -> string
-(** Human-readable rendering; for the store constructors this reproduces
-    [Lvm_store.Store.error_to_string]'s exact strings. *)
+(** Human-readable rendering. *)
 
 val pp : Format.formatter -> t -> unit
 

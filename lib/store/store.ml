@@ -30,11 +30,6 @@ module Config = struct
       obs = None }
 end
 
-(* The store's result-typed surface speaks {!Lvm.Lvm_error.t} directly
-   (the per-module [error] type and its [to_error] injection are gone);
-   this alias keeps the old renderer name compiling for one PR. *)
-let error_to_string = Lvm.Lvm_error.to_string
-
 (* {1 Shard moves (split / merge)}
 
    Ownership is bucket-granular: key [k] hashes to bucket [k mod
@@ -323,15 +318,6 @@ let read t key =
       let r = Lvm_mvcc.read snap ~key in
       Lvm_mvcc.release snap;
       r
-
-let read_exn t key =
-  if key < 0 || key >= t.config.Config.keys then range "Store.read" "key" key;
-  match read t key with
-  | Ok v -> v
-  | Error e ->
-    Error.raise_
-      (Error.Invalid
-         { op = "Store.read_exn"; reason = Lvm.Lvm_error.to_string e })
 
 (* Group writes by owning shard, ascending shard order, original write
    order preserved within a shard (last write to a key wins). *)

@@ -129,11 +129,6 @@ end
     [to_error] injection are gone — callers match [Lvm.Lvm_error.t]
     directly. *)
 
-val error_to_string : Lvm.Lvm_error.t -> string
-[@@deprecated "use Lvm.Lvm_error.to_string"]
-(** Alias of {!Lvm.Lvm_error.to_string}, kept for one PR so existing
-    renderer callsites keep compiling. *)
-
 val create : Config.t -> t
 (** Boot a machine with [Config.shards] CPUs and one RLVM shard per
     CPU, plus the coordinator decision log. Raises
@@ -178,12 +173,6 @@ val read : t -> int -> (int, Lvm.Lvm_error.t) result
     read — acquire at the current cut, read, release — served without
     touching a shard worker. [Error (Invalid_key _)] outside
     [0, keys). *)
-
-val read_exn : t -> int -> int
-[@@deprecated "use read (result-typed) or Snapshot.acquire + Snapshot.read"]
-(** The old bare read surface, kept for one PR: {!read} with the
-    raise-on-bad-key contract ([Lvm_vm.Error.Lvm_error]
-    [Out_of_range]). *)
 
 (** {2 Load signals} *)
 

@@ -1,15 +1,18 @@
 open Lvm_vm
 
-(* The harness crashes a transactional TPC-A-style workload at chosen
-   points, recovers, and checks the atomicity contract against a pure
-   model of the store kept on the host side:
+(* One engine, five subjects. A sweep is a header line plus a list of
+   labelled schedules; [sweep] runs each and folds the per-schedule
+   results into an [outcome]. Four subjects (TPC-A over RLVM, the
+   sharded store, FAMS snapshots, the shard-move protocol) are machine
+   fault plans run by [run_plan] over a [subject] record; replication
+   has its own kill/promote body but shares the fold.
 
-   - outside a commit, the recovered state must equal the model exactly
-     (uncommitted writes invisible);
-   - during a commit, it must equal either the model or the model with
-     the transaction's staged writes applied — the atomicity boundary —
-     and nothing in between (committed writes durable, partial
-     application forbidden). *)
+   Every plan subject checks the same contract against a host-side
+   model: a completed run matches the model exactly; a crashed run
+   recovers, recovers again (the two images must agree — replay is
+   idempotent) and then lands on a state the subject's checker accepts:
+   the committed prefix, or that prefix plus the in-flight unit of work
+   applied in full — never a mixture. *)
 
 type outcome = {
   points : int;
@@ -20,9 +23,138 @@ type outcome = {
   trace : string; (* deterministic per-run log, for byte-equality checks *)
 }
 
+(* {1 The engine} *)
+
+(* Fold [run ~label schedule] over the labelled schedules. Each run
+   returns (trace line, failure option, crashed?, torn tail?). *)
+let sweep ~header ~run schedules =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf header;
+  let failures = ref [] and crashed = ref 0 and torn = ref 0 in
+  List.iter
+    (fun (label, schedule) ->
+      let line, failure, did_crash, did_torn = run ~label schedule in
+      Buffer.add_string buf line;
+      Option.iter (fun f -> failures := f :: !failures) failure;
+      if did_crash then incr crashed;
+      if did_torn then incr torn)
+    schedules;
+  let points = List.length schedules in
+  {
+    points;
+    crashed = !crashed;
+    completed = points - !crashed;
+    torn = !torn;
+    failures = List.rev !failures;
+    trace = Buffer.contents buf;
+  }
+
+(* A subject under machine fault plans. ['s] is one fresh machine plus
+   its host-side model; ['image] is the recovered state compared across
+   the two recoveries. *)
+type ('s, 'image) subject = {
+  build : unit -> 's;
+  kernel : 's -> Kernel.t;
+  clock : Kernel.t -> int; (* reference-run length: time or max_time *)
+  workload : 's -> unit;
+  recover : 's -> string * bool; (* crash-line text, torn tail truncated? *)
+  image : 's -> 'image;
+  check : crashed:bool -> 's -> (string, string) result;
+}
+
+(* One run of [s] under one plan. *)
+let run_plan s ~label plan =
+  let st = s.build () in
+  let m = Kernel.machine (s.kernel st) in
+  let failure d = Some (label ^ ": " ^ d) in
+  Lvm_machine.Machine.set_fault_plan m (Some plan);
+  match s.workload st with
+  | () -> (
+    (* The harness's own verification reads must not trip a still-armed
+       injection (e.g. a crash point past the workload's last boundary). *)
+    Lvm_machine.Machine.set_fault_plan m None;
+    match s.check ~crashed:false st with
+    | Ok _ ->
+      (Printf.sprintf "%s completed state=ok\n" label, None, false, false)
+    | Error d ->
+      ( Printf.sprintf "%s completed state=FAIL %s\n" label d,
+        failure d, false, false ))
+  | exception Lvm_fault.Fault.Crashed { cycle; site } -> (
+    Lvm_machine.Machine.set_fault_plan m None;
+    let report, torn = s.recover st in
+    let base =
+      Printf.sprintf "%s crashed cycle=%d site=%s %s" label cycle
+        (Lvm_fault.Fault.site_name site) report
+    in
+    let first = s.image st in
+    ignore (s.recover st);
+    let second = s.image st in
+    match s.check ~crashed:true st with
+    | Ok which when first = second ->
+      (Printf.sprintf "%s state=ok(%s)\n" base which, None, true, torn)
+    | Ok _ ->
+      let d = "recovery not idempotent" in
+      (Printf.sprintf "%s state=FAIL %s\n" base d, failure d, true, torn)
+    | Error d ->
+      (Printf.sprintf "%s state=FAIL %s\n" base d, failure d, true, torn))
+
+let torn_plan ~nth ~keep =
+  Lvm_fault.Plan.create
+    [ { Lvm_fault.Plan.site = Lvm_fault.Fault.Ramdisk_write;
+        trigger = Lvm_fault.Plan.At_count nth;
+        fault = Lvm_fault.Fault.Torn_write { keep } } ]
+
+(* [n] crashes at the 1st..nth occurrence of a fault site, labelled
+   [name=j]: the subject-specific extras (FAMS boundary forces, split
+   cutovers). *)
+let site_crashes ~name site n =
+  List.init n (fun j ->
+      let nth = j + 1 in
+      ( Printf.sprintf "%s=%d" name nth,
+        Lvm_fault.Plan.create
+          [ { Lvm_fault.Plan.site; trigger = Lvm_fault.Plan.At_count nth;
+              fault = Lvm_fault.Fault.Crash } ] ))
+
+(* The shared schedule: a reference run measures the workload's length,
+   then [points] evenly-spaced crash cycles over it, [torn_points] torn
+   WAL appends with varying torn lengths, and the subject's [extra]
+   fault-site plans. [header] renders the first trace line from the
+   reference length. *)
+let sweep_subject s ~header ~points ~torn_points ?(extra = []) () =
+  let total =
+    let st = s.build () in
+    s.workload st;
+    s.clock (s.kernel st)
+  in
+  let crashes =
+    List.init points (fun i ->
+        let at = 1 + (i * (total - 1) / max 1 (points - 1)) in
+        (Printf.sprintf "point=%d at=%d" i at, Lvm_fault.Plan.crash_at at))
+  in
+  let tears =
+    List.init torn_points (fun j ->
+        let nth = j + 1 in
+        let keep = 1 + (nth * 7 mod 23) in
+        (Printf.sprintf "torn=%d keep=%d" nth keep, torn_plan ~nth ~keep))
+  in
+  sweep ~header:(header total) ~run:(run_plan s) (crashes @ tears @ extra)
+
+(* {1 TPC-A over RLVM}
+
+   The workload is the TPC-A driver; the model tracks committed words
+   and the in-flight transaction's staged writes:
+
+   - outside a commit, the recovered state must equal the model exactly
+     (uncommitted writes invisible);
+   - during a commit, it must equal either the model or the model with
+     the transaction's staged writes applied — the atomicity boundary —
+     and nothing in between (committed writes durable, partial
+     application forbidden). *)
+
 let bank () = Bank.layout ~branches:2 ~tellers:4 ~accounts:32 ~history:16
 
 type run_state = {
+  b : Bank.t;
   r : Lvm_rvm.Rlvm.t;
   store : Tpca.store;
   model : int array; (* committed words, host-side truth *)
@@ -31,16 +163,13 @@ type run_state = {
   in_commit : bool ref;
 }
 
-let build ?cpus ?group () =
+let build ?cpus ~group () =
   let k = Kernel.create ?cpus () in
   let sp = Kernel.create_space k in
   let b = bank () in
   let size = Bank.segment_bytes b in
   let r =
-    Lvm_rvm.Rlvm.make
-      { Lvm_rvm.Rlvm.Config.default with
-        group = Option.value group ~default:1 }
-      k sp ~size
+    Lvm_rvm.Rlvm.make { Lvm_rvm.Rlvm.Config.default with group } k sp ~size
   in
   let base = Tpca.rlvm_store r in
   let model = Array.make (size / 4) 0 in
@@ -76,14 +205,18 @@ let build ?cpus ?group () =
             Array.blit model 0 forced 0 (Array.length model));
     }
   in
-  (b, { r; store; model; forced; staged; in_commit })
+  { b; r; store; model; forced; staged; in_commit }
 
-let run_workload b st ~seed ~txns =
-  Tpca.setup st.store b;
+let run_workload st ~seed ~txns =
+  Tpca.setup st.store st.b;
   let rng = Random.State.make [| seed |] in
   for i = 0 to txns - 1 do
-    Tpca.transaction st.store b ~rng ~history_slot:i
+    Tpca.transaction st.store st.b ~rng ~history_slot:i
   done
+
+let rlvm_image st =
+  Array.init (Array.length st.model) (fun i ->
+      Lvm_rvm.Rlvm.read_word st.r ~off:(i * 4))
 
 (* Compare the store against the model, or (inside a commit) against the
    model with the staged transaction applied. After a crash under group
@@ -91,9 +224,9 @@ let run_workload b st ~seed ~txns =
    forced} state is acceptable too; with group 1 [forced] always equals
    [model] and the extra acceptance is unreachable, keeping the sweep's
    trace byte-identical to the ungrouped harness. *)
-let check_state ?(crashed = false) st =
+let check_state ~crashed st =
   let n = Array.length st.model in
-  let actual = Array.init n (fun i -> Lvm_rvm.Rlvm.read_word st.r ~off:(i * 4)) in
+  let actual = rlvm_image st in
   let plus_staged =
     let m = Array.copy st.model in
     List.iter (fun (off, v) -> m.(off / 4) <- v) (List.rev !(st.staged));
@@ -103,75 +236,33 @@ let check_state ?(crashed = false) st =
   else if !(st.in_commit) && actual = plus_staged then Ok "committed+txn"
   else if crashed && actual = st.forced then Ok "forced"
   else
-    let diff =
-      let rec find i =
-        if i = n then "?"
-        else if actual.(i) <> st.model.(i)
-                && (not !(st.in_commit) || actual.(i) <> plus_staged.(i))
-                && (not crashed || actual.(i) <> st.forced.(i))
-        then Printf.sprintf "word %d: got %d model %d" i actual.(i) st.model.(i)
-        else find (i + 1)
-      in
-      find 0
+    let rec find i =
+      if i = n then "?"
+      else if actual.(i) <> st.model.(i)
+              && (not !(st.in_commit) || actual.(i) <> plus_staged.(i))
+              && (not crashed || actual.(i) <> st.forced.(i))
+      then Printf.sprintf "word %d: got %d model %d" i actual.(i) st.model.(i)
+      else find (i + 1)
     in
-    Error diff
+    Error (find 0)
 
-let machine_of st = Kernel.machine (Lvm_rvm.Rlvm.kernel st.r)
+let tpca_subject ?cpus ~group ~seed ~txns () =
+  {
+    build = build ?cpus ~group;
+    kernel = (fun st -> Lvm_rvm.Rlvm.kernel st.r);
+    clock = Kernel.time;
+    workload = run_workload ~seed ~txns;
+    recover =
+      (fun st ->
+        let report = Lvm_rvm.Rlvm.recover st.r in
+        ( Printf.sprintf "in_commit=%b %s" !(st.in_commit)
+            (Lvm_rvm.Ramdisk.recovery_to_string report),
+          report.Lvm_rvm.Ramdisk.truncated_bytes > 0 ));
+    image = rlvm_image;
+    check = check_state;
+  }
 
-(* One run under one plan. Returns (trace line, failure option,
-   crashed?, torn-tail-detected?). *)
-let run_one ?cpus ?group ~label ~seed ~txns plan =
-  let b, st = build ?cpus ?group () in
-  Lvm_machine.Machine.set_fault_plan (machine_of st) (Some plan);
-  match run_workload b st ~seed ~txns with
-  | () -> (
-    (* The harness's own verification reads must not trip a still-armed
-       injection (e.g. a crash point past the workload's last boundary). *)
-    Lvm_machine.Machine.set_fault_plan (machine_of st) None;
-    match check_state st with
-    | Ok _ -> (Printf.sprintf "%s completed state=ok\n" label, None, false, false)
-    | Error d ->
-      ( Printf.sprintf "%s completed state=FAIL %s\n" label d,
-        Some (label ^ ": " ^ d), false, false ))
-  | exception Lvm_fault.Fault.Crashed { cycle; site } -> (
-    Lvm_machine.Machine.set_fault_plan (machine_of st) None;
-    let report = Lvm_rvm.Rlvm.recover st.r in
-    let torn = report.Lvm_rvm.Ramdisk.truncated_bytes > 0 in
-    let base =
-      Printf.sprintf "%s crashed cycle=%d site=%s in_commit=%b %s" label cycle
-        (Lvm_fault.Fault.site_name site)
-        !(st.in_commit)
-        (Lvm_rvm.Ramdisk.recovery_to_string report)
-    in
-    (* Replay idempotence: a second recovery must land on the same state. *)
-    let first = Array.init (Array.length st.model)
-        (fun i -> Lvm_rvm.Rlvm.read_word st.r ~off:(i * 4)) in
-    ignore (Lvm_rvm.Rlvm.recover st.r);
-    let second = Array.init (Array.length st.model)
-        (fun i -> Lvm_rvm.Rlvm.read_word st.r ~off:(i * 4)) in
-    match check_state ~crashed:true st with
-    | Ok which when first = second ->
-      (Printf.sprintf "%s state=ok(%s)\n" base which, None, true, torn)
-    | Ok _ ->
-      ( Printf.sprintf "%s state=FAIL not idempotent\n" base,
-        Some (label ^ ": recovery not idempotent"), true, torn )
-    | Error d ->
-      ( Printf.sprintf "%s state=FAIL %s\n" base d,
-        Some (label ^ ": " ^ d), true, torn ))
-
-let crash_plan ~at =
-  Lvm_fault.Plan.create
-    [ { Lvm_fault.Plan.site = Lvm_fault.Fault.Cpu;
-        trigger = Lvm_fault.Plan.At_cycle at;
-        fault = Lvm_fault.Fault.Crash } ]
-
-let torn_plan ~nth ~keep =
-  Lvm_fault.Plan.create
-    [ { Lvm_fault.Plan.site = Lvm_fault.Fault.Ramdisk_write;
-        trigger = Lvm_fault.Plan.At_count nth;
-        fault = Lvm_fault.Fault.Torn_write { keep } } ]
-
-(* {1 Sharded-store sweep}
+(* {1 Sharded store}
 
    With [shards > 1] the subject is an [Lvm_store] sharded store: the
    workload mixes single-shard transactions with cross-shard two-phase
@@ -241,9 +332,12 @@ let run_store_workload ss ~shards ~seed ~txns =
     | Error e -> failwith ("store sweep exec: " ^ err e));
   done
 
+let store_image ss =
+  Array.init (Array.length ss.model) (fun key -> read_word ss.st key)
+
 let check_store_state ss =
   let n = Array.length ss.model in
-  let actual = Array.init n (fun key -> read_word ss.st key) in
+  let actual = store_image ss in
   let plus_staged =
     let m = Array.copy ss.model in
     List.iter (fun (key, v) -> m.(key) <- v) !(ss.staged);
@@ -262,145 +356,43 @@ let check_store_state ss =
     in
     Error (find 0)
 
-let store_machine ss = Kernel.machine (Store.kernel ss.st)
+let store_recover ss =
+  let report = Store.recover ss.st in
+  ( Store.recovery_to_string report,
+    report.Store.coordinator.Lvm_rvm.Ramdisk.truncated_bytes > 0
+    || Array.exists
+         (fun (r : Lvm_rvm.Ramdisk.recovery) -> r.truncated_bytes > 0)
+         report.Store.shard_reports )
 
-let store_snapshot ss =
-  Array.init (Array.length ss.model) (fun key -> read_word ss.st key)
-
-let run_one_store ~shards ~label ~seed ~txns plan =
-  let ss = build_store ~shards () in
-  Lvm_machine.Machine.set_fault_plan (store_machine ss) (Some plan);
-  match run_store_workload ss ~shards ~seed ~txns with
-  | () -> (
-    Lvm_machine.Machine.set_fault_plan (store_machine ss) None;
-    match check_store_state ss with
-    | Ok _ -> (Printf.sprintf "%s completed state=ok\n" label, None, false,
-               false)
-    | Error d ->
-      ( Printf.sprintf "%s completed state=FAIL %s\n" label d,
-        Some (label ^ ": " ^ d), false, false ))
-  | exception Lvm_fault.Fault.Crashed { cycle; site } -> (
-    Lvm_machine.Machine.set_fault_plan (store_machine ss) None;
-    let report = Store.recover ss.st in
-    let torn =
-      report.Store.coordinator.Lvm_rvm.Ramdisk.truncated_bytes > 0
-      || Array.exists
-           (fun (r : Lvm_rvm.Ramdisk.recovery) -> r.truncated_bytes > 0)
-           report.Store.shard_reports
-    in
-    let base =
-      Printf.sprintf "%s crashed cycle=%d site=%s %s" label cycle
-        (Lvm_fault.Fault.site_name site)
-        (Store.recovery_to_string report)
-    in
-    (* Replay idempotence: a second recovery must land on the same
-       state (the first one's roll-forward included). *)
-    let first = store_snapshot ss in
-    ignore (Store.recover ss.st);
-    let second = store_snapshot ss in
-    match check_store_state ss with
-    | Ok which when first = second ->
-      (Printf.sprintf "%s state=ok(%s)\n" base which, None, true, torn)
-    | Ok _ ->
-      ( Printf.sprintf "%s state=FAIL not idempotent\n" base,
-        Some (label ^ ": recovery not idempotent"), true, torn )
-    | Error d ->
-      ( Printf.sprintf "%s state=FAIL %s\n" base d,
-        Some (label ^ ": " ^ d), true, torn ))
-
-let run_store_sweep ~seed ~txns ~points ~torn_points ~shards =
-  let total =
-    let ss = build_store ~shards () in
-    run_store_workload ss ~shards ~seed ~txns;
-    Kernel.max_time (Store.kernel ss.st)
-  in
-  let buf = Buffer.create 4096 in
-  let failures = ref [] in
-  let crashed = ref 0 and completed = ref 0 and torn = ref 0 in
-  let record (line, failure, did_crash, did_torn) =
-    Buffer.add_string buf line;
-    (match failure with Some f -> failures := f :: !failures | None -> ());
-    if did_crash then incr crashed else incr completed;
-    if did_torn then incr torn
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "crashsweep seed=%d txns=%d total_cycles=%d shards=%d\n" seed txns
-       total shards);
-  for i = 0 to points - 1 do
-    let at = 1 + (i * (total - 1) / max 1 (points - 1)) in
-    record
-      (run_one_store ~shards
-         ~label:(Printf.sprintf "point=%d at=%d" i at) ~seed ~txns
-         (crash_plan ~at))
-  done;
-  for j = 1 to torn_points do
-    let keep = 1 + (j * 7 mod 23) in
-    record
-      (run_one_store ~shards
-         ~label:(Printf.sprintf "torn=%d keep=%d" j keep)
-         ~seed ~txns (torn_plan ~nth:j ~keep))
-  done;
+let store_subject ~shards ~seed ~txns =
   {
-    points = points + torn_points;
-    crashed = !crashed;
-    completed = !completed;
-    torn = !torn;
-    failures = List.rev !failures;
-    trace = Buffer.contents buf;
-  }
-
-let run_single ?(seed = 42) ?(txns = 12) ?(points = 200) ?(torn_points = 24)
-    ?cpus ?(group = 1) () =
-  let group_opt = if group = 1 then None else Some group in
-  (* Reference run: how long the whole workload takes with no faults. *)
-  let total =
-    let b, st = build ?cpus ?group:group_opt () in
-    run_workload b st ~seed ~txns;
-    Kernel.time (Lvm_rvm.Rlvm.kernel st.r)
-  in
-  let buf = Buffer.create 4096 in
-  let failures = ref [] in
-  let crashed = ref 0 and completed = ref 0 and torn = ref 0 in
-  let record (line, failure, did_crash, did_torn) =
-    Buffer.add_string buf line;
-    (match failure with Some f -> failures := f :: !failures | None -> ());
-    if did_crash then incr crashed else incr completed;
-    if did_torn then incr torn
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "crashsweep seed=%d txns=%d total_cycles=%d%s\n" seed txns
-       total
-       (if group = 1 then "" else Printf.sprintf " group=%d" group));
-  for i = 0 to points - 1 do
-    let at = 1 + (i * (total - 1) / max 1 (points - 1)) in
-    record
-      (run_one ?cpus ?group:group_opt
-         ~label:(Printf.sprintf "point=%d at=%d" i at) ~seed ~txns
-         (crash_plan ~at))
-  done;
-  for j = 1 to torn_points do
-    let keep = 1 + (j * 7 mod 23) in
-    record
-      (run_one ?cpus ?group:group_opt
-         ~label:(Printf.sprintf "torn=%d keep=%d" j keep)
-         ~seed ~txns (torn_plan ~nth:j ~keep))
-  done;
-  {
-    points = points + torn_points;
-    crashed = !crashed;
-    completed = !completed;
-    torn = !torn;
-    failures = List.rev !failures;
-    trace = Buffer.contents buf;
+    build = build_store ~shards;
+    kernel = (fun ss -> Store.kernel ss.st);
+    clock = Kernel.max_time;
+    workload = run_store_workload ~shards ~seed ~txns;
+    recover = store_recover;
+    image = store_image;
+    check = (fun ~crashed:_ -> check_store_state);
   }
 
 let run ?(seed = 42) ?(txns = 12) ?(points = 200) ?(torn_points = 24) ?cpus
     ?(group = 1) ?(shards = 1) () =
-  if shards > 1 then run_store_sweep ~seed ~txns ~points ~torn_points ~shards
-  else run_single ?cpus ~seed ~txns ~points ~torn_points ~group ()
+  if shards > 1 then
+    sweep_subject (store_subject ~shards ~seed ~txns) ~points ~torn_points
+      ~header:(fun total ->
+        Printf.sprintf "crashsweep seed=%d txns=%d total_cycles=%d shards=%d\n"
+          seed txns total shards)
+      ()
+  else
+    sweep_subject (tpca_subject ?cpus ~group ~seed ~txns ()) ~points
+      ~torn_points
+      ~header:(fun total ->
+        Printf.sprintf "crashsweep seed=%d txns=%d total_cycles=%d%s\n" seed
+          txns total
+          (if group = 1 then "" else Printf.sprintf " group=%d" group))
+      ()
 
-(* {1 Replication sweep}
+(* {1 Replication}
 
    The subject is an [Lvm_repl] cluster: a primary streaming its WAL to
    hot standbys over the faulty transport, every schedule driven by a
@@ -422,7 +414,9 @@ let run ?(seed = 42) ?(txns = 12) ?(points = 200) ?(torn_points = 24) ?cpus
      standby converges to it (catch-up/resync under the same faults).
 
    Fault-only schedules skip the kill and check that the cluster
-   converges to the full workload despite the transport faults. *)
+   converges to the full workload despite the transport faults. These
+   schedules are transport plans, not machine crashes, so they have
+   their own body and share only the fold. *)
 
 module Repl = Lvm_repl
 
@@ -482,7 +476,7 @@ let repl_snapshot cl =
    [post_txns] more transactions and require convergence. [kill = None]:
    run the whole workload and require convergence. Returns
    (trace line, failure option, killed?, resynced?). *)
-let run_one_repl ~seed ~txns ~replicas ~post_txns ~gap ~label ~index kill =
+let run_one_repl ~seed ~txns ~replicas ~post_txns ~gap ~label (index, kill) =
   let plan = repl_net_plan ~seed index in
   let cl =
     Repl.create ~plan
@@ -559,22 +553,17 @@ let run_one_repl ~seed ~txns ~replicas ~post_txns ~gap ~label ~index kill =
     Repl.step ~ticks:(4 + (index mod 5)) cl;
     let p = Repl.promote cl in
     let win = p.Repl.new_primary in
-    let jstar =
+    (* the last transaction whose stream bytes fit in [bytes] *)
+    let prefix bytes =
       let rec go j =
-        if j >= 0 && ends.(j) <= p.Repl.applied_bytes then j
+        if j >= 0 && ends.(j) <= bytes then j
         else if j < 0 then 0
         else go (j - 1)
       in
       go committed
     in
-    let jack =
-      let rec go j =
-        if j >= 0 && ends.(j) <= acked_at_kill.(win) then j
-        else if j < 0 then 0
-        else go (j - 1)
-      in
-      go committed
-    in
+    let jstar = prefix p.Repl.applied_bytes in
+    let jack = prefix acked_at_kill.(win) in
     if jstar < jack then
       note
         (Printf.sprintf "acked txn lost: applied prefix %d < acked prefix %d"
@@ -608,47 +597,28 @@ let run_one_repl ~seed ~txns ~replicas ~post_txns ~gap ~label ~index kill =
                        failover_ticks=%d"
          k s win jstar p.Repl.failover_ticks)
 
+(* [crashed] counts kill schedules, [completed] fault-only ones and
+   [torn] the schedules that needed a full-state resync. *)
 let run_repl ?(seed = 42) ?(txns = 10) ?(kill_points = 84) ?(fault_only = 16)
     ?(replicas = 2) ?(post_txns = 3) () =
-  let gap = 3 in
-  let buf = Buffer.create 4096 in
-  let failures = ref [] in
-  let killed = ref 0 and completed = ref 0 and resynced = ref 0 in
-  let record (line, failure, did_kill, did_resync) =
-    Buffer.add_string buf line;
-    (match failure with Some f -> failures := f :: !failures | None -> ());
-    if did_kill then incr killed else incr completed;
-    if did_resync then incr resynced
+  let kills =
+    List.init kill_points (fun i ->
+        let k = i mod txns and s = i * 3 mod 7 in
+        (Printf.sprintf "kill=%d after=%d sub=%d" i k s, (i, Some (k, s))))
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "replsweep seed=%d txns=%d kill_points=%d fault_only=%d replicas=%d\n"
-       seed txns kill_points fault_only replicas);
-  for i = 0 to kill_points - 1 do
-    let k = i mod txns in
-    let s = i * 3 mod 7 in
-    record
-      (run_one_repl ~seed ~txns ~replicas ~post_txns ~gap
-         ~label:(Printf.sprintf "kill=%d after=%d sub=%d" i k s)
-         ~index:i
-         (Some (k, s)))
-  done;
-  for i = 0 to fault_only - 1 do
-    record
-      (run_one_repl ~seed ~txns ~replicas ~post_txns ~gap
-         ~label:(Printf.sprintf "faults=%d" i)
-         ~index:(kill_points + i) None)
-  done;
-  {
-    points = kill_points + fault_only;
-    crashed = !killed;
-    completed = !completed;
-    torn = !resynced;
-    failures = List.rev !failures;
-    trace = Buffer.contents buf;
-  }
+  let faults =
+    List.init fault_only (fun i ->
+        (Printf.sprintf "faults=%d" i, (kill_points + i, None)))
+  in
+  sweep
+    ~header:
+      (Printf.sprintf
+         "replsweep seed=%d txns=%d kill_points=%d fault_only=%d replicas=%d\n"
+         seed txns kill_points fault_only replicas)
+    ~run:(run_one_repl ~seed ~txns ~replicas ~post_txns ~gap:3)
+    (kills @ faults)
 
-(* {1 FAMS sweep}
+(* {1 FAMS}
 
    The subject is one or more [Lvm_fams] snapshot regions on one machine:
    plain writes accumulate, [snapshot] persists the modification set
@@ -710,7 +680,7 @@ let fams_value ~seed ~epoch ~region i =
    per epoch, wrapping), then region [e mod regions] snapshots. Regions
    snapshot in turn, so with [regions > 1] a crash always finds some
    region with un-snapshotted writes. *)
-let run_fams_workload fs ~seed ~snaps ~writes =
+let run_fams_workload ~seed ~snaps ~writes fs =
   let regions = Array.length fs.rs in
   for epoch = 0 to snaps - 1 do
     Array.iteri
@@ -781,108 +751,41 @@ let check_fams ~crashed fs =
       (String.concat ","
          (List.map (function Ok w -> w | Error _ -> "?") results))
 
-let force_plan ~nth =
-  Lvm_fault.Plan.create
-    [ { Lvm_fault.Plan.site = Lvm_fault.Fault.Ramdisk_force;
-        trigger = Lvm_fault.Plan.At_count nth;
-        fault = Lvm_fault.Fault.Crash } ]
-
-let run_one_fams ~group ~regions ~label ~seed ~snaps ~writes plan =
-  let fs = build_fams ~group ~regions () in
-  let m = Kernel.machine fs.fk in
-  Lvm_machine.Machine.set_fault_plan m (Some plan);
-  match run_fams_workload fs ~seed ~snaps ~writes with
-  | () -> (
-    Lvm_machine.Machine.set_fault_plan m None;
-    match check_fams ~crashed:false fs with
-    | Ok _ -> (Printf.sprintf "%s completed state=ok\n" label, None, false,
-               false)
-    | Error d ->
-      ( Printf.sprintf "%s completed state=FAIL %s\n" label d,
-        Some (label ^ ": " ^ d), false, false ))
-  | exception Lvm_fault.Fault.Crashed { cycle; site } -> (
-    Lvm_machine.Machine.set_fault_plan m None;
-    let torn = ref false in
-    Array.iter
-      (fun r ->
-        let rep = fams_unwrap "fams sweep recover" (Fams.recover r.f) in
-        if rep.Lvm_rvm.Ramdisk.truncated_bytes > 0 then torn := true)
-      fs.rs;
-    let base =
-      Printf.sprintf "%s crashed cycle=%d site=%s completed=%s" label cycle
-        (Lvm_fault.Fault.site_name site)
-        (String.concat ","
-           (Array.to_list
-              (Array.map (fun r -> string_of_int r.completed) fs.rs)))
-    in
-    (* Replay idempotence: a second recovery must land on the same state. *)
-    let first = Array.map fams_actual fs.rs in
-    Array.iter
-      (fun r -> ignore (fams_unwrap "fams sweep recover" (Fams.recover r.f)))
-      fs.rs;
-    let second = Array.map fams_actual fs.rs in
-    match check_fams ~crashed:true fs with
-    | Ok which when first = second ->
-      (Printf.sprintf "%s state=ok(%s)\n" base which, None, true, !torn)
-    | Ok _ ->
-      ( Printf.sprintf "%s state=FAIL not idempotent\n" base,
-        Some (label ^ ": recovery not idempotent"), true, !torn )
-    | Error d ->
-      ( Printf.sprintf "%s state=FAIL %s\n" base d,
-        Some (label ^ ": " ^ d), true, !torn ))
+let recover_fams fs =
+  let torn = ref false in
+  Array.iter
+    (fun r ->
+      let rep = fams_unwrap "fams sweep recover" (Fams.recover r.f) in
+      if rep.Lvm_rvm.Ramdisk.truncated_bytes > 0 then torn := true)
+    fs.rs;
+  ( "completed="
+    ^ String.concat ","
+        (Array.to_list (Array.map (fun r -> string_of_int r.completed) fs.rs)),
+    !torn )
 
 let run_fams ?(seed = 42) ?(snaps = 10) ?(writes = 8) ?(points = 120)
     ?(torn_points = 16) ?(force_points = 8) ?(group = 1) ?(regions = 1) () =
-  (* Reference run: how long the whole workload takes with no faults. *)
-  let total =
-    let fs = build_fams ~group ~regions () in
-    run_fams_workload fs ~seed ~snaps ~writes;
-    Kernel.time fs.fk
-  in
-  let buf = Buffer.create 4096 in
-  let failures = ref [] in
-  let crashed = ref 0 and completed = ref 0 and torn = ref 0 in
-  let record (line, failure, did_crash, did_torn) =
-    Buffer.add_string buf line;
-    (match failure with Some f -> failures := f :: !failures | None -> ());
-    if did_crash then incr crashed else incr completed;
-    if did_torn then incr torn
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "famssweep seed=%d snaps=%d writes=%d total_cycles=%d group=%d \
-        regions=%d\n"
-       seed snaps writes total group regions);
-  for i = 0 to points - 1 do
-    let at = 1 + (i * (total - 1) / max 1 (points - 1)) in
-    record
-      (run_one_fams ~group ~regions
-         ~label:(Printf.sprintf "point=%d at=%d" i at)
-         ~seed ~snaps ~writes (crash_plan ~at))
-  done;
-  for j = 1 to torn_points do
-    let keep = 1 + (j * 7 mod 23) in
-    record
-      (run_one_fams ~group ~regions
-         ~label:(Printf.sprintf "torn=%d keep=%d" j keep)
-         ~seed ~snaps ~writes (torn_plan ~nth:j ~keep))
-  done;
-  for j = 1 to force_points do
-    record
-      (run_one_fams ~group ~regions
-         ~label:(Printf.sprintf "force=%d" j)
-         ~seed ~snaps ~writes (force_plan ~nth:j))
-  done;
-  {
-    points = points + torn_points + force_points;
-    crashed = !crashed;
-    completed = !completed;
-    torn = !torn;
-    failures = List.rev !failures;
-    trace = Buffer.contents buf;
-  }
+  sweep_subject
+    {
+      build = build_fams ~group ~regions;
+      kernel = (fun fs -> fs.fk);
+      clock = Kernel.time;
+      workload = run_fams_workload ~seed ~snaps ~writes;
+      recover = recover_fams;
+      image = (fun fs -> Array.map fams_actual fs.rs);
+      check = check_fams;
+    }
+    ~points ~torn_points
+    ~extra:
+      (site_crashes ~name:"force" Lvm_fault.Fault.Ramdisk_force force_points)
+    ~header:(fun total ->
+      Printf.sprintf
+        "famssweep seed=%d snaps=%d writes=%d total_cycles=%d group=%d \
+         regions=%d\n"
+        seed snaps writes total group regions)
+    ()
 
-(* {1 Split-cutover sweep}
+(* {1 Split cutover}
 
    The subject is the sharded store again, but the scripted schedule
    interleaves ordinary transactions with a full shard-move lifecycle
@@ -904,16 +807,16 @@ let run_fams ?(seed = 42) ?(snaps = 10) ?(writes = 8) ?(points = 120)
    - a store that still commits: a probe transaction on a moved bucket
      and one on an unmoved bucket both read back. *)
 
-(* The scripted schedule: returns the bucket set the split moves (the
-   checker needs it to build the two legal routing tables). Transaction
-   values come from [store_txn]; writes refused with [Moved] during the
-   drain are deterministic skips, any other refusal is a harness bug. *)
+(* The buckets the split moves: the first half of shard 0's. *)
 let split_buckets ss =
   let owned = Store.shard_buckets ss.st 0 in
   let half = (List.length owned + 1) / 2 in
   List.filteri (fun i _ -> i < half) owned
 
-let run_split_schedule ss ~shards ~seed =
+(* The scripted schedule. Transaction values come from [store_txn];
+   writes refused with [Moved] during the drain are deterministic
+   skips, any other refusal is a harness bug. *)
+let run_split_schedule ~shards ~seed (ss, buckets) =
   let j = ref 0 in
   let txn () =
     let writes = store_txn ~shards ~seed !j in
@@ -926,7 +829,6 @@ let run_split_schedule ss ~shards ~seed =
     ss.staged := []
   in
   for _ = 1 to 4 do txn () done;
-  let buckets = split_buckets ss in
   Store.move_begin ss.st ~from_:0 ~to_:1 buckets;
   let remaining = ref 1 in
   while !remaining > 0 do
@@ -951,8 +853,7 @@ let run_split_schedule ss ~shards ~seed =
   for _ = 1 to 3 do txn () done;
   (* calm again: merge the displaced buckets back home *)
   Store.move ss.st ~from_:1 ~to_:0 ~batch:1 buckets;
-  for _ = 1 to 3 do txn () done;
-  buckets
+  for _ = 1 to 3 do txn () done
 
 (* The two legal routing tables: default ownership, and default with
    the split's buckets on shard 1. Any recovered route must equal one
@@ -1000,121 +901,46 @@ let split_probe ss buckets =
   | Error _ as e -> e
   | Ok () -> probe unmoved 0x51B52
 
-let cutover_plan ~nth =
-  Lvm_fault.Plan.create
-    [ { Lvm_fault.Plan.site = Lvm_fault.Fault.Split_cutover;
-        trigger = Lvm_fault.Plan.At_count nth;
-        fault = Lvm_fault.Fault.Crash } ]
-
-let run_one_split ~shards ~label ~seed plan =
-  let ss = build_store ~shards () in
-  let buckets = split_buckets ss in
-  Lvm_machine.Machine.set_fault_plan (store_machine ss) (Some plan);
-  match run_split_schedule ss ~shards ~seed with
-  | moved_buckets -> (
-    Lvm_machine.Machine.set_fault_plan (store_machine ss) None;
-    let state =
-      match check_store_state ss with
+(* A completed schedule merged everything home, so only the default
+   route is legal; a crashed one may sit on either side of a cutover
+   but must have no move left active and must still commit. *)
+let check_split ~crashed (ss, buckets) =
+  match check_store_state ss with
+  | Error _ as e -> e
+  | Ok which when crashed -> (
+    if Store.active_move ss.st <> None then Error "recovery left a move active"
+    else
+      match split_route_check ss buckets with
       | Error _ as e -> e
-      | Ok _ ->
-        (* the merge sent everything home: only the default route is
-           legal for a completed schedule *)
-        let r0, _ = split_legal_routes ss moved_buckets in
-        if Store.route_table ss.st = r0 then Ok "committed"
-        else Error "completed run left a non-default route"
-    in
-    match state with
-    | Ok _ -> (Printf.sprintf "%s completed state=ok\n" label, None, false,
-               false)
-    | Error d ->
-      ( Printf.sprintf "%s completed state=FAIL %s\n" label d,
-        Some (label ^ ": " ^ d), false, false ))
-  | exception Lvm_fault.Fault.Crashed { cycle; site } -> (
-    Lvm_machine.Machine.set_fault_plan (store_machine ss) None;
-    let report = Store.recover ss.st in
-    let torn =
-      report.Store.coordinator.Lvm_rvm.Ramdisk.truncated_bytes > 0
-      || Array.exists
-           (fun (r : Lvm_rvm.Ramdisk.recovery) -> r.truncated_bytes > 0)
-           report.Store.shard_reports
-    in
-    let base =
-      Printf.sprintf "%s crashed cycle=%d site=%s %s" label cycle
-        (Lvm_fault.Fault.site_name site)
-        (Store.recovery_to_string report)
-    in
-    (* Replay idempotence: state and route both. *)
-    let first = store_snapshot ss in
-    let first_route = Store.route_table ss.st in
-    ignore (Store.recover ss.st);
-    let second = store_snapshot ss in
-    let second_route = Store.route_table ss.st in
-    let verdict =
-      match check_store_state ss with
-      | Error _ as e -> e
-      | Ok which -> (
-        if first <> second || first_route <> second_route then
-          Error "recovery not idempotent"
-        else if Store.active_move ss.st <> None then
-          Error "recovery left a move active"
-        else
-          match split_route_check ss buckets with
-          | Error _ as e -> e
-          | Ok route -> (
-            match split_probe ss buckets with
-            | Error _ as e -> e
-            | Ok () -> Ok (which ^ " " ^ route)))
-    in
-    match verdict with
-    | Ok which ->
-      (Printf.sprintf "%s state=ok(%s)\n" base which, None, true, torn)
-    | Error d ->
-      ( Printf.sprintf "%s state=FAIL %s\n" base d,
-        Some (label ^ ": " ^ d), true, torn ))
+      | Ok route -> (
+        match split_probe ss buckets with
+        | Error _ as e -> e
+        | Ok () -> Ok (which ^ " " ^ route)))
+  | Ok _ ->
+    let r0, _ = split_legal_routes ss buckets in
+    if Store.route_table ss.st = r0 then Ok "committed"
+    else Error "completed run left a non-default route"
 
 let run_split ?(seed = 11) ?(points = 90) ?(torn_points = 8)
     ?(cutover_points = 2) ?(shards = 2) () =
-  (* Reference run: how long the whole schedule takes with no faults. *)
-  let total =
-    let ss = build_store ~shards () in
-    ignore (run_split_schedule ss ~shards ~seed);
-    Kernel.max_time (Store.kernel ss.st)
-  in
-  let buf = Buffer.create 4096 in
-  let failures = ref [] in
-  let crashed = ref 0 and completed = ref 0 and torn = ref 0 in
-  let record (line, failure, did_crash, did_torn) =
-    Buffer.add_string buf line;
-    (match failure with Some f -> failures := f :: !failures | None -> ());
-    if did_crash then incr crashed else incr completed;
-    if did_torn then incr torn
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "splitsweep seed=%d total_cycles=%d shards=%d\n" seed
-       total shards);
-  for i = 0 to points - 1 do
-    let at = 1 + (i * (total - 1) / max 1 (points - 1)) in
-    record
-      (run_one_split ~shards
-         ~label:(Printf.sprintf "point=%d at=%d" i at) ~seed (crash_plan ~at))
-  done;
-  for j = 1 to torn_points do
-    let keep = 1 + (j * 7 mod 23) in
-    record
-      (run_one_split ~shards
-         ~label:(Printf.sprintf "torn=%d keep=%d" j keep)
-         ~seed (torn_plan ~nth:j ~keep))
-  done;
-  for n = 1 to cutover_points do
-    record
-      (run_one_split ~shards
-         ~label:(Printf.sprintf "cutover=%d" n) ~seed (cutover_plan ~nth:n))
-  done;
-  {
-    points = points + torn_points + cutover_points;
-    crashed = !crashed;
-    completed = !completed;
-    torn = !torn;
-    failures = List.rev !failures;
-    trace = Buffer.contents buf;
-  }
+  sweep_subject
+    {
+      build =
+        (fun () ->
+          let ss = build_store ~shards () in
+          (ss, split_buckets ss));
+      kernel = (fun (ss, _) -> Store.kernel ss.st);
+      clock = Kernel.max_time;
+      workload = run_split_schedule ~shards ~seed;
+      recover = (fun (ss, _) -> store_recover ss);
+      image = (fun (ss, _) -> (store_image ss, Store.route_table ss.st));
+      check = check_split;
+    }
+    ~points ~torn_points
+    ~extra:
+      (site_crashes ~name:"cutover" Lvm_fault.Fault.Split_cutover
+         cutover_points)
+    ~header:(fun total ->
+      Printf.sprintf "splitsweep seed=%d total_cycles=%d shards=%d\n" seed
+        total shards)
+    ()

@@ -13,9 +13,15 @@
     - recovery is idempotent (a second recovery reproduces the state);
     - a torn last WAL record is detected and truncated, never replayed.
 
+    The same engine sweeps four more subjects — the sharded store
+    ([run ~shards]), FAMS snapshots ({!run_fams}), the shard-move
+    protocol ({!run_split}) and replication failover ({!run_repl}) —
+    each a workload, a recovery and a checker over one shared schedule
+    fold (see docs/FAULTS.md).
+
     Everything is seeded: two sweeps with the same parameters produce
     byte-identical {!outcome.trace} strings, which the [@crash] CI alias
-    checks. *)
+    checks for every subject. *)
 
 type outcome = {
   points : int;  (** Total runs (crash points + torn-write points). *)

@@ -1,57 +1,44 @@
 (* Driver for the crash-sweep CI gate (`dune build @crash`).
 
-   Runs the fixed-seed crash sweep, fails on any invariant violation,
-   then runs the identical sweep a second time and requires the two
-   recovery traces to be byte-identical — the determinism guarantee of
-   the fault plan engine.
+   Runs every crash-sweep subject at its CI size, twice. Fails on any
+   invariant violation, on a sweep in which no fault fired, on a missing
+   torn tail where the subject must see one, and on two runs whose
+   traces differ — the determinism guarantee of the fault plan engine. *)
 
-   Usage: crash_runner [points] [txns] [cpus] [group]
-   (or crash_runner --cpus N / --group N, keeping the other defaults). *)
+module C = Lvm_tpc.Crash_sweep
+
+(* name, sweep, must see a torn tail? Under group commit the torn bytes
+   land in the volatile WAL tail and are dropped wholesale before the
+   scan; replication's schedules are transport plans, not WAL tears. *)
+let sweeps =
+  [ ("tpca", (fun () -> C.run ~points:200 ~txns:12 ()), true);
+    ("tpca 4 cpus", (fun () -> C.run ~points:60 ~txns:12 ~cpus:4 ()), true);
+    ("tpca group 4", (fun () -> C.run ~points:60 ~txns:12 ~group:4 ()), false);
+    ("store 4 shards", (fun () -> C.run ~shards:4 ()), true);
+    ("fams", (fun () -> C.run_fams ()), true);
+    ("split",
+     (fun () -> C.run_split ~points:90 ~torn_points:8 ~cutover_points:2 ()),
+     true);
+    ("repl", (fun () -> C.run_repl ~kill_points:84 ~fault_only:16 ()), false) ]
+
+let check (name, sweep, expect_torn) =
+  let o : C.outcome = sweep () in
+  Printf.printf
+    "%s: %d points (%d crashed, %d completed, %d torn), %d failures\n%!" name
+    o.points o.crashed o.completed o.torn (List.length o.failures);
+  let problems =
+    o.failures
+    @ (if o.crashed = 0 then [ "no injected fault fired" ] else [])
+    @ (if expect_torn && o.torn = 0 then [ "no torn tail was ever detected" ]
+       else [])
+    @ (if (sweep ()).trace <> o.trace then
+         [ "two runs produced different traces" ]
+       else [])
+  in
+  List.iter (Printf.printf "FAIL %s: %s\n" name) problems;
+  problems = []
 
 let () =
-  let rec parse pos cpus group = function
-    | [] -> (List.rev pos, cpus, group)
-    | "--cpus" :: v :: rest -> parse pos (Some (int_of_string v)) group rest
-    | "--group" :: v :: rest -> parse pos cpus (Some (int_of_string v)) rest
-    | a :: rest -> parse (a :: pos) cpus group rest
-  in
-  let positional, cpus_flag, group_flag =
-    parse [] None None (List.tl (Array.to_list Sys.argv))
-  in
-  let arg i default =
-    match List.nth_opt positional i with
-    | Some v -> int_of_string v
-    | None -> default
-  in
-  let points = arg 0 200 in
-  let txns = arg 1 12 in
-  let cpus = match cpus_flag with Some v -> v | None -> arg 2 1 in
-  let group = match group_flag with Some v -> v | None -> arg 3 1 in
-  let o = Lvm_tpc.Crash_sweep.run ~seed:42 ~points ~txns ~cpus ~group () in
-  Printf.printf
-    "crash sweep (%d cpu%s, group %d): %d points (%d crashed, %d completed, \
-     %d torn tails), %d failures\n"
-    cpus
-    (if cpus = 1 then "" else "s")
-    group
-    o.Lvm_tpc.Crash_sweep.points o.Lvm_tpc.Crash_sweep.crashed
-    o.Lvm_tpc.Crash_sweep.completed o.Lvm_tpc.Crash_sweep.torn
-    (List.length o.Lvm_tpc.Crash_sweep.failures);
-  List.iter (Printf.printf "FAIL: %s\n") o.Lvm_tpc.Crash_sweep.failures;
-  if o.Lvm_tpc.Crash_sweep.failures <> [] then exit 1;
-  if o.Lvm_tpc.Crash_sweep.crashed = 0 then begin
-    print_endline "FAIL: no crash point actually fired";
-    exit 1
-  end;
-  (* Under group commit the torn bytes land in the volatile WAL tail and
-     are dropped wholesale before the scan, so no torn tail is visible. *)
-  if group = 1 && o.Lvm_tpc.Crash_sweep.torn = 0 then begin
-    print_endline "FAIL: no torn tail was ever detected";
-    exit 1
-  end;
-  let o2 = Lvm_tpc.Crash_sweep.run ~seed:42 ~points ~txns ~cpus ~group () in
-  if o.Lvm_tpc.Crash_sweep.trace <> o2.Lvm_tpc.Crash_sweep.trace then begin
-    print_endline "FAIL: two identical sweeps produced different traces";
-    exit 1
-  end;
-  print_endline "determinism: two sweeps byte-identical"
+  let results = List.map check sweeps in
+  if List.mem false results then exit 1;
+  print_endline "crash sweeps: all subjects pass, traces byte-identical"

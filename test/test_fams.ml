@@ -221,14 +221,6 @@ let test_sweep_regions () =
     (Lvm_tpc.Crash_sweep.run_fams ~seed:13 ~snaps:6 ~writes:5 ~points:30
        ~torn_points:10 ~force_points:5 ~regions:2 ())
 
-let test_sweep_deterministic () =
-  let run () =
-    Lvm_tpc.Crash_sweep.run_fams ~seed:5 ~snaps:5 ~writes:4 ~points:12
-      ~torn_points:6 ~force_points:3 ~group:2 ~regions:2 ()
-  in
-  let a = run () and b = run () in
-  Alcotest.(check string) "traces bit-identical" a.trace b.trace
-
 (* {1 Property: prefix-consistent recovery}
 
    Interleave plain writes, snapshots and crash-recoveries at random
@@ -361,8 +353,6 @@ let suites =
           test_sweep_group;
         Alcotest.test_case "torn-snapshot sweep 2 regions" `Quick
           test_sweep_regions;
-        Alcotest.test_case "sweep deterministic" `Quick
-          test_sweep_deterministic;
         Alcotest.test_case "prefix-consistent recovery (prop)" `Quick
           test_prop_prefix_consistent;
       ] );

@@ -596,18 +596,46 @@ let test_forced_fifo_overrun () =
     ~logged:true 2;
   check "no further overloads" 1 p.Perf.overloads
 
-(* {1 Crash sweep smoke test} *)
+(* {1 Golden sweep traces}
 
-let test_crash_sweep_small () =
-  let o = Lvm_tpc.Crash_sweep.run ~seed:11 ~txns:4 ~points:12 ~torn_points:4 () in
-  check "no invariant violations" 0 (List.length o.Lvm_tpc.Crash_sweep.failures);
-  check_bool "crashes fired" true (o.Lvm_tpc.Crash_sweep.crashed > 0);
-  check_bool "torn tails detected" true (o.Lvm_tpc.Crash_sweep.torn > 0);
-  let o2 =
-    Lvm_tpc.Crash_sweep.run ~seed:11 ~txns:4 ~points:12 ~torn_points:4 ()
-  in
-  check_str "two sweeps byte-identical" o.Lvm_tpc.Crash_sweep.trace
-    o2.Lvm_tpc.Crash_sweep.trace
+   One row per crash-sweep subject, at the sizes the per-subject suites
+   use. The digest pins each trace byte for byte: a change to a sweep's
+   schedule, workload, recovery or checker output shows up here, and so
+   does any run-to-run nondeterminism. [torn] says whether the row must
+   see a torn tail (group commit drops unforced torn bytes before the
+   scan, so the FAMS row at group 2 sees none). *)
+
+let golden =
+  let open Lvm_tpc.Crash_sweep in
+  [ ("tpca", (fun () -> run ~seed:11 ~txns:4 ~points:12 ~torn_points:4 ()),
+     16, true, "8d298c39a38c37f6c0b1175292df3506");
+    ("store",
+     (fun () -> run ~seed:5 ~txns:6 ~points:40 ~torn_points:8 ~shards:2 ()),
+     48, true, "c70a8c81ded934dff658226351032ba6");
+    ("fams",
+     (fun () ->
+       run_fams ~seed:5 ~snaps:5 ~writes:4 ~points:12 ~torn_points:6
+         ~force_points:3 ~group:2 ~regions:2 ()),
+     21, false, "fdb16c0c959c546020fd7bd1cdc8dd75");
+    ("split",
+     (fun () ->
+       run_split ~seed:5 ~points:24 ~torn_points:4 ~cutover_points:2
+         ~shards:2 ()),
+     30, true, "9fbf3e8baff5fa0ed40a8cf6e169cda2");
+    ("repl", (fun () -> run_repl ~txns:6 ~kill_points:8 ~fault_only:2 ()),
+     10, true, "bd7c9026a07ce45b2e68ea78b72e0efd") ]
+
+let test_golden_traces () =
+  List.iter
+    (fun (name, sweep, points, torn, digest) ->
+      let o : Lvm_tpc.Crash_sweep.outcome = sweep () in
+      Alcotest.(check (list string)) (name ^ " no violations") [] o.failures;
+      check_bool (name ^ " crashes fired") true (o.crashed > 0);
+      if torn then check_bool (name ^ " torn tails detected") true (o.torn > 0);
+      check (name ^ " points") points o.points;
+      check_str (name ^ " trace digest") digest
+        (Digest.to_hex (Digest.string o.trace)))
+    golden
 
 let suites =
   [
@@ -664,6 +692,5 @@ let suites =
           test_forced_fifo_overrun;
       ] );
     ( "fault.sweep",
-      [ Alcotest.test_case "small sweep deterministic" `Quick
-          test_crash_sweep_small ] );
+      [ Alcotest.test_case "golden traces" `Quick test_golden_traces ] );
   ]

@@ -146,8 +146,6 @@ let test_snapshot_basics () =
   (match Store.read st 0 with
   | Ok v -> check "Store.read is the latest snapshot" 33 v
   | Error e -> Alcotest.fail (Lvm.Lvm_error.to_string e));
-  check "deprecated wrapper unwraps" 33
-    ((Store.read_exn [@alert "-deprecated"]) st 0);
   (match Store.read st 99 with
   | Error (Lvm.Lvm_error.Invalid_key { key }) -> check "typed key error" 99 key
   | _ -> Alcotest.fail "expected Invalid_key");

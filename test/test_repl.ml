@@ -306,12 +306,7 @@ let test_sweep_smoke () =
   Alcotest.(check (list string)) "no replication invariant violations" []
     o.Lvm_tpc.Crash_sweep.failures;
   check "all schedules ran" 10 o.Lvm_tpc.Crash_sweep.points;
-  check "kills killed" 8 o.Lvm_tpc.Crash_sweep.crashed;
-  let o2 =
-    Lvm_tpc.Crash_sweep.run_repl ~txns:6 ~kill_points:8 ~fault_only:2 ()
-  in
-  check_str "sweep deterministic" o.Lvm_tpc.Crash_sweep.trace
-    o2.Lvm_tpc.Crash_sweep.trace
+  check "kills killed" 8 o.Lvm_tpc.Crash_sweep.crashed
 
 let test_config_validation () =
   let err name e f = Alcotest.check_raises name (Error.Lvm_error e) f in

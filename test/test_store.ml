@@ -204,15 +204,12 @@ let test_workload_scaling () =
 (* {1 Crash sweep over the sharded store} *)
 
 let test_store_sweep () =
-  let sweep () =
+  let o =
     Lvm_tpc.Crash_sweep.run ~seed:5 ~txns:6 ~points:40 ~torn_points:8
       ~shards:2 ()
   in
-  let o = sweep () in
   Alcotest.(check (list string)) "no atomicity violations" [] o.failures;
-  check_bool "every point ran" true (o.points >= 48);
-  let o2 = sweep () in
-  Alcotest.(check string) "sweep deterministic" o.trace o2.trace
+  check_bool "every point ran" true (o.points >= 48)
 
 (* {1 Hot-shard survival: moves, admission, skew} *)
 
@@ -446,15 +443,12 @@ let test_open_loop_bursty () =
 (* {1 Split-cutover crash sweep} *)
 
 let test_split_sweep () =
-  let sweep () =
+  let o =
     Lvm_tpc.Crash_sweep.run_split ~seed:5 ~points:24 ~torn_points:4
       ~cutover_points:2 ~shards:2 ()
   in
-  let o = sweep () in
   Alcotest.(check (list string)) "no split-protocol violations" [] o.failures;
-  check "every point ran" 30 o.points;
-  let o2 = sweep () in
-  Alcotest.(check string) "split sweep deterministic" o.trace o2.trace
+  check "every point ran" 30 o.points
 
 let suites =
   [ ( "store",
