@@ -1,6 +1,7 @@
 (* lvmctl: command-line driver for the LVM reproduction.
 
-   Subcommands run individual paper experiments with custom parameters,
+   Subcommands run the reproduction experiments (every paper table and
+   figure plus the comparisons behind the committed BENCH_n.json files),
    TimeWarp simulations, TPC-A, and the synthetic state-saving workload.
    Every command routes its output through one formatter, and the
    workload commands take [--metrics human|json|csv] to append merged
@@ -27,7 +28,7 @@ let metrics_arg =
 
 (* Run [f] under an ambient collector and emit its metrics afterwards. *)
 let with_metrics ?label format f =
-  let result = Lvm_experiments.Report.with_metrics ?label ppf ~format f in
+  let result = Lvm_tools.Metrics.with_ambient ?label ~format ppf f in
   Format.pp_print_flush ppf ();
   result
 
@@ -48,29 +49,57 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the reproduction experiments.")
     Term.(const run $ const ())
 
+(* Report the targets a run missed; a miss fails the command. *)
+let check_targets missed =
+  List.iter (fun m -> Format.fprintf ppf "FAIL: %s@." m) missed;
+  Format.pp_print_flush ppf ();
+  if missed <> [] then exit 1;
+  `Ok ()
+
 let exp_cmd =
   let id_arg =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"ID" ~doc:"Experiment id (see $(b,lvmctl list)).")
   in
-  let run id quick metrics =
-    match Lvm_experiments.Experiments.find id with
-    | Some e ->
-      with_metrics ~label:id metrics (fun () ->
-          e.Lvm_experiments.Experiments.run ~quick ppf);
-      `Ok ()
-    | None -> `Error (false, "unknown experiment " ^ id)
+  let json_arg =
+    Arg.(value & opt (some string) None
+         & info [ "json" ] ~docv:"FILE"
+             ~doc:"Write the experiment's JSON record (the committed \
+                   $(b,BENCH_)$(i,n)$(b,.json) file) to $(docv).")
   in
-  Cmd.v (Cmd.info "exp" ~doc:"Run one table/figure reproduction experiment.")
-    Term.(ret (const run $ id_arg $ quick_arg $ metrics_arg))
+  let run id quick metrics json =
+    match Lvm_experiments.Experiments.find id with
+    | None -> `Error (false, "unknown experiment " ^ id)
+    | Some e -> (
+      let outcome =
+        with_metrics ~label:id metrics (fun () ->
+            e.Lvm_experiments.Experiments.run ~quick ppf)
+      in
+      match (json, outcome.Lvm_experiments.Report.blob) with
+      | Some _, None -> `Error (false, id ^ " records no JSON")
+      | Some file, Some blob ->
+        Out_channel.with_open_text file (fun oc ->
+            output_string oc blob;
+            output_char oc '\n');
+        Format.fprintf ppf "%s written to %s@." id file;
+        check_targets outcome.Lvm_experiments.Report.missed
+      | None, _ -> check_targets outcome.Lvm_experiments.Report.missed)
+  in
+  Cmd.v
+    (Cmd.info "exp"
+       ~doc:"Run one experiment; exits 1 if it misses a target.")
+    Term.(ret (const run $ id_arg $ quick_arg $ metrics_arg $ json_arg))
 
 let all_cmd =
   let run quick metrics =
-    with_metrics ~label:"all" metrics (fun () ->
-        Lvm_experiments.Experiments.run_all ~quick ppf)
+    check_targets
+      (with_metrics ~label:"all" metrics (fun () ->
+           Lvm_experiments.Experiments.run_all ~quick ppf))
   in
-  Cmd.v (Cmd.info "all" ~doc:"Run every reproduction experiment.")
-    Term.(const run $ quick_arg $ metrics_arg)
+  Cmd.v
+    (Cmd.info "all"
+       ~doc:"Run every experiment; exits 1 if any misses a target.")
+    Term.(ret (const run $ quick_arg $ metrics_arg))
 
 (* {1 sim} *)
 
@@ -665,8 +694,7 @@ let trace_cmd =
           Lvm_obs.Sink.emit_trace format ppf trace
         end)
       (Lvm_obs.Collector.traces collector);
-    Lvm_experiments.Report.metrics ~label:"trace" ppf ~format:metrics
-      collector;
+    Lvm_tools.Metrics.emit ~label:"trace" ~format:metrics ppf collector;
     Format.pp_print_flush ppf ()
   in
   Cmd.v

@@ -40,8 +40,6 @@ let note ppf s = Format.fprintf ppf "note: %s@." s
 let fi = string_of_int
 let ff ?(decimals = 2) f = Printf.sprintf "%.*f" decimals f
 
-let metrics ?label ppf ~format collector =
-  Lvm_tools.Metrics.emit ?label ~format ppf collector
+type outcome = { blob : string option; missed : string list }
 
-let with_metrics ?label ppf ~format f =
-  Lvm_tools.Metrics.with_ambient ?label ~format ppf f
+let passed = { blob = None; missed = [] }

@@ -20,14 +20,14 @@ val note : Format.formatter -> string -> unit
 val fi : int -> string
 val ff : ?decimals:int -> float -> string
 
-val metrics :
-  ?label:string -> Format.formatter -> format:Lvm_obs.Sink.format option ->
-  Lvm_obs.Collector.t -> unit
-(** Emit the collector's merged counters and histograms in the requested
-    sink format; [format = None] emits nothing (metrics not requested). *)
+(** What one experiment run leaves besides its printed report. *)
+type outcome = {
+  blob : string option;
+      (** The run's figures as one enveloped JSON line (a committed
+          [BENCH_n.json] file), for experiments that record one. *)
+  missed : string list;
+      (** Targets the run fell short of, one line each; [[]] passes. *)
+}
 
-val with_metrics :
-  ?label:string -> Format.formatter -> format:Lvm_obs.Sink.format option ->
-  (unit -> 'a) -> 'a
-(** Run a workload under an ambient {!Lvm_obs.Collector} and emit its
-    metrics afterwards. Every machine the workload creates is captured. *)
+val passed : outcome
+(** No JSON record, no target missed: every paper table and figure. *)

@@ -20,10 +20,3 @@ let with_ambient ?label ~format ppf f =
   let result, collector = Lvm_obs.Collector.with_collector f in
   emit ?label ~format ppf collector;
   result
-
-let write_file ?label ~file collector =
-  let oc = open_out file in
-  let ppf = Format.formatter_of_out_channel oc in
-  Format.fprintf ppf "%s@." (blob ?label collector);
-  Format.pp_print_flush ppf ();
-  close_out oc

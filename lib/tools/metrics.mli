@@ -1,8 +1,8 @@
 (** Shared collector/sink plumbing for the command-line tools.
 
-    [lvmctl], [bench] and the experiment reports all run workloads under
-    an ambient {!Lvm_obs.Collector} and then render the merged counters
-    and histograms through a {!Lvm_obs.Sink}. This module holds the one
+    Every [lvmctl] command runs its workload under an ambient
+    {!Lvm_obs.Collector} and then renders the merged counters and
+    histograms through a {!Lvm_obs.Sink}. This module holds the one
     copy of that wiring; JSON output is wrapped in the versioned
     {!Output_stream.Envelope} (kind ["metrics"]). *)
 
@@ -27,6 +27,3 @@ val with_ambient :
   'a
 (** Run a workload under an ambient {!Lvm_obs.Collector} and {!emit} its
     metrics afterwards. Every machine the workload creates is captured. *)
-
-val write_file : ?label:string -> file:string -> Lvm_obs.Collector.t -> unit
-(** Write {!blob} to [file] (what benchmarks put in [BENCH_*.json]). *)

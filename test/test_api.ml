@@ -207,7 +207,7 @@ let test_experiments_registry () =
     (Lvm_experiments.Experiments.find "table2" <> None);
   check_bool "find misses" true
     (Lvm_experiments.Experiments.find "nope" = None);
-  check "thirteen experiments" 13
+  check "twenty experiments" 20
     (List.length Lvm_experiments.Experiments.all);
   check_bool "multicpu registered" true
     (Lvm_experiments.Experiments.find "multicpu" <> None)

@@ -320,4 +320,37 @@ let ablation_de_suite =
         test_checkpoint_ablation_shape;
     ] )
 
-let suites = suites @ [ ablation_de_suite ]
+(* {1 Comparisons beyond the paper}
+
+   Every comparison runs at its fixed size in well under a second, and
+   its figures are simulated cycles, so the committed BENCH_n.json file
+   must be exactly what the registry regenerates, every target met. *)
+
+let null_ppf = Format.make_formatter (fun _ _ _ -> ()) ignore
+
+let read_record file =
+  String.trim (In_channel.with_open_text ("../" ^ file) In_channel.input_all)
+
+let test_committed_records () =
+  List.iter
+    (fun (id, record) ->
+      match Experiments.find id with
+      | None -> Alcotest.failf "%s is not registered" id
+      | Some e ->
+        let o = e.Experiments.run ~quick:false null_ppf in
+        Alcotest.(check (list string)) (id ^ " targets") [] o.Report.missed;
+        Alcotest.(check (option string))
+          (id ^ " record")
+          (Option.map read_record record)
+          o.Report.blob)
+    [ ("group-commit", None); ("store", Some "BENCH_5.json");
+      ("fams", Some "BENCH_6.json"); ("repl", Some "BENCH_7.json");
+      ("hotshard", Some "BENCH_8.json"); ("logdiet", Some "BENCH_9.json");
+      ("mvcc", Some "BENCH_10.json") ]
+
+let records_suite =
+  ( "experiments.records",
+    [ Alcotest.test_case "committed BENCH records" `Quick
+        test_committed_records ] )
+
+let suites = suites @ [ ablation_de_suite; records_suite ]
