@@ -12,16 +12,11 @@ let apply_record k ~target ~off (r : Log_record.t) =
 let roll_forward k ~log ~from ~apply =
   match Log_reader.stream_version k log with
   | Log_record.V0 ->
-    let len = Log_reader.length k log in
-    let rec go off =
-      if off + Log_record.bytes > len then off
-      else
-        let r = Log_reader.read_at_timed k log ~off in
-        match apply ~off r with
-        | `Continue -> go (off + Log_record.bytes)
-        | `Stop -> off
-    in
-    go from
+    let m = Kernel.machine k in
+    Log_reader.walk_v0 ~start:from k log ~f:(fun ~off ~paddr ->
+        match apply ~off (Log_reader.read_v0_timed m ~paddr) with
+        | `Continue -> true
+        | `Stop -> false)
   | Log_record.V1 ->
     (* Containers are the only valid stop offsets of an encoded stream
        (truncating inside one would tear it, and a record after a dead
@@ -61,13 +56,15 @@ let rollback k ~space ~working ~working_region ~base ~log ~upto =
   let stop =
     roll_forward k ~log ~from:0 ~apply:(fun ~off:_ r ->
         if r.Log_record.pre_image then `Continue
-        else if not (upto r) then `Stop
         else
-          match Log_reader.locate k r with
-          | Some (seg, off) when Segment.id seg = Segment.id working ->
-            apply_record k ~target:working ~off r;
-            `Continue
-          | Some _ | None -> `Continue)
+          let at = Log_reader.locate k r in
+          if not (upto r at) then `Stop
+          else
+            match at with
+            | Some (seg, off) when Segment.id seg = Segment.id working ->
+              apply_record k ~target:working ~off r;
+              `Continue
+            | Some _ | None -> `Continue)
   in
   Lvm_log.truncate_suffix (Lvm_log.of_segment k log) ~new_end:stop;
   Kernel.set_logging_enabled k working_region true
@@ -77,15 +74,17 @@ let cult k ~working ~checkpoint ~log ~upto =
   let stop =
     roll_forward k ~log ~from:0 ~apply:(fun ~off:_ r ->
         if r.Log_record.pre_image then `Continue
-        else if not (upto r) then `Stop
-        else begin
-          (match Log_reader.locate k r with
-          | Some (seg, off) when Segment.id seg = Segment.id working ->
-            apply_record k ~target:checkpoint ~off r;
-            incr applied
-          | Some _ | None -> ());
-          `Continue
-        end)
+        else
+          let at = Log_reader.locate k r in
+          if not (upto r at) then `Stop
+          else begin
+            (match at with
+            | Some (seg, off) when Segment.id seg = Segment.id working ->
+              apply_record k ~target:checkpoint ~off r;
+              incr applied
+            | Some _ | None -> ());
+            `Continue
+          end)
   in
   (* checkpoint-driven compaction: CULT'd records are dead, so the
      extents below [stop] are truncatable and get recycled *)
@@ -93,4 +92,4 @@ let cult k ~working ~checkpoint ~log ~upto =
   !applied
 
 let cult_all k ~working ~checkpoint ~log =
-  cult k ~working ~checkpoint ~log ~upto:(fun _ -> true)
+  cult k ~working ~checkpoint ~log ~upto:(fun _ _ -> true)

@@ -26,19 +26,22 @@ val roll_forward :
 val rollback :
   kernel -> space:Lvm_vm.Address_space.t -> working:segment ->
   working_region:Lvm_vm.Region.t -> base:int -> log:segment ->
-  upto:(Lvm_machine.Log_record.t -> bool) -> unit
+  upto:(Lvm_machine.Log_record.t -> (segment * int) option -> bool) -> unit
 (** Roll the working segment back: disable the region's logging, reset the
     deferred copy over the region's range, re-apply logged updates while
-    [upto record] holds, truncate the abandoned log suffix, re-enable
-    logging. [base] is the region's bound address in [space]. *)
+    [upto record at] holds, truncate the abandoned log suffix, re-enable
+    logging. [at] is the record's {!Log_reader.locate} result, computed
+    once per record and shared with the apply step. [base] is the
+    region's bound address in [space]. *)
 
 val cult :
   kernel -> working:segment -> checkpoint:segment -> log:segment ->
-  upto:(Lvm_machine.Log_record.t -> bool) -> int
+  upto:(Lvm_machine.Log_record.t -> (segment * int) option -> bool) -> int
 (** Checkpoint update and log truncation: apply each leading record
-    satisfying [upto] to the checkpoint segment at the offset the record
-    names in the working segment, then truncate the consumed prefix.
-    Returns the number of records applied. *)
+    satisfying [upto record at] to the checkpoint segment at the offset
+    the record names in the working segment, then truncate the consumed
+    prefix. [at] is as for {!rollback}. Returns the number of records
+    applied. *)
 
 val cult_all : kernel -> working:segment -> checkpoint:segment ->
   log:segment -> int

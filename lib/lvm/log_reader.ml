@@ -84,19 +84,20 @@ let read_at k ls ~off =
 let charge_read k ls ~off ~len =
   let m = Kernel.machine k in
   for w = 0 to ((len + Addr.word_size - 1) / Addr.word_size) - 1 do
-    let paddr = Kernel.paddr_of k ls ~off:(off + (w * Addr.word_size)) in
-    ignore (Machine.read m ~paddr ~size:4)
+    Machine.charge_read m
+      ~paddr:(Kernel.paddr_of k ls ~off:(off + (w * Addr.word_size)))
   done
+
+(* The four timed word reads of the V0 record at [paddr], then its
+   (untimed) decode. *)
+let read_v0_timed m ~paddr =
+  Machine.charge_read m ~paddr ~words:(Log_record.bytes / Addr.word_size);
+  Log_record.decode_from (Machine.mem m) ~paddr
 
 let read_at_timed k ls ~off =
   match stream_version k ls with
   | Log_record.V0 ->
-    let paddr = Kernel.paddr_of k ls ~off in
-    let m = Kernel.machine k in
-    for w = 0 to 3 do
-      ignore (Machine.read m ~paddr:(paddr + (w * Addr.word_size)) ~size:4)
-    done;
-    Log_record.decode_from (Machine.mem m) ~paddr
+    read_v0_timed (Kernel.machine k) ~paddr:(Kernel.paddr_of k ls ~off)
   | Log_record.V1 ->
     let r = read_at k ls ~off in
     charge_read k ls ~off ~len:Log_record.bytes;
@@ -116,7 +117,7 @@ let read_mapped k space ~base ~off =
   done;
   Log_record.decode_bytes buf ~pos:0
 
-let fold_v0 ?(start = 0) k ls ~init ~f =
+let walk_v0 ?(start = 0) k ls ~f =
   (* One logger sync for the whole walk ([length]), one address
      translation per page: records never straddle pages (the page size is
      a multiple of [Log_record.bytes]), so a cached page base serves all
@@ -129,30 +130,37 @@ let fold_v0 ?(start = 0) k ls ~init ~f =
      (clamping the remaining span) and drops the page cache, so it never
      reads through a recycled extent's old mapping. *)
   let len = ref (length k ls) in
-  let mem = Machine.mem (Kernel.machine k) in
   let generation = ref (Segment.generation ls) in
   let page = ref (-1) in
   let page_paddr = ref 0 in
-  let rec go acc off =
+  let rec go off =
     if Segment.generation ls <> !generation then begin
       generation := Segment.generation ls;
       page := -1;
       len := min !len (Segment.write_pos ls)
     end;
-    if off + Log_record.bytes > !len then acc
+    if off + Log_record.bytes > !len then off
     else begin
       let p = off / Addr.page_size in
       if p <> !page then begin
         page := p;
         page_paddr := Kernel.paddr_of k ls ~off:(p * Addr.page_size)
       end;
-      let paddr = !page_paddr + Addr.page_offset off in
-      go
-        (f acc ~off (Log_record.decode_from mem ~paddr))
-        (off + Log_record.bytes)
+      if f ~off ~paddr:(!page_paddr + Addr.page_offset off) then
+        go (off + Log_record.bytes)
+      else off
     end
   in
-  go init start
+  go start
+
+let fold_v0 ?start k ls ~init ~f =
+  let mem = Machine.mem (Kernel.machine k) in
+  let acc = ref init in
+  ignore
+    (walk_v0 ?start k ls ~f:(fun ~off ~paddr ->
+         acc := f !acc ~off (Log_record.decode_from mem ~paddr);
+         true));
+  !acc
 
 let fold k ls ~init ~f =
   match stream_version k ls with

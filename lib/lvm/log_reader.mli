@@ -44,6 +44,22 @@ val charge_read : kernel -> segment -> off:int -> len:int -> unit
     (one word read per 4 bytes) without parsing them — how the
     checkpoint machinery prices a pass over an encoded container. *)
 
+val read_v0_timed : Lvm_machine.Machine.t -> paddr:int -> Lvm_machine.Log_record.t
+(** Charge the four word reads of the [V0] record at physical address
+    [paddr] (as {!Lvm_machine.Machine.charge_read}), then decode it
+    untimed. *)
+
+val walk_v0 :
+  ?start:int -> kernel -> segment -> f:(off:int -> paddr:int -> bool) -> int
+(** Walk a [V0] stream's records from byte offset [start] (default 0),
+    handing [f] each record's offset and physical address, until [f]
+    answers [false] or the log ends. Returns the offset of the first
+    record not consumed. One logger sync per walk and one address
+    translation per page; if [f] truncates or compacts the log (the
+    segment's layout generation changes), the walk drops its cached
+    translation and clamps the remaining span to the new [write_pos].
+    {!fold} and [Checkpoint.roll_forward] are built on it. *)
+
 val map : kernel -> Lvm_vm.Address_space.t -> segment -> int
 (** Bind the log segment into an address space for reading (Section 2.1:
     "the log segment may also be mapped into the address space, so that

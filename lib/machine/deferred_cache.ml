@@ -4,8 +4,11 @@ type page_state = {
   mutable dirty : bool;
 }
 
+(* The state of a page that is not a deferred-copy destination. *)
+let unmapped = { src_addr = 0; modified = Bytes.empty; dirty = false }
+
 type t = {
-  pages : (int, page_state) Hashtbl.t; (* dst page number -> state *)
+  pages : page_state array; (* dst frame number -> state, or [unmapped] *)
   mem : Physmem.t;
   perf : Perf.t;
   dirty_hist : Lvm_obs.Histogram.t;
@@ -14,7 +17,7 @@ type t = {
 let create ?obs mem perf =
   let obs = match obs with Some o -> o | None -> Lvm_obs.Ctx.create () in
   {
-    pages = Hashtbl.create 64;
+    pages = Array.make (Physmem.frames mem) unmapped;
     mem;
     perf;
     dirty_hist =
@@ -22,35 +25,39 @@ let create ?obs mem perf =
         ~bounds:(Lvm_obs.Histogram.pow2_bounds ~max_exp:8);
   }
 
+(* Pages past the end of memory are never mapped. *)
+let state t pn =
+  if pn >= 0 && pn < Array.length t.pages then t.pages.(pn) else unmapped
+
 let map t ~dst_page ~src_addr =
   if src_addr land (Addr.line_size - 1) <> 0 then
     invalid_arg "Deferred_cache.map: source address must be line-aligned";
-  Hashtbl.replace t.pages dst_page
+  if dst_page < 0 || dst_page >= Array.length t.pages then
+    invalid_arg "Deferred_cache.map: destination page out of range";
+  t.pages.(dst_page) <-
     { src_addr; modified = Bytes.make Addr.lines_per_page '\000';
       dirty = false }
 
-let unmap t ~dst_page = Hashtbl.remove t.pages dst_page
-let is_mapped t ~dst_page = Hashtbl.mem t.pages dst_page
+let unmap t ~dst_page =
+  if dst_page >= 0 && dst_page < Array.length t.pages then
+    t.pages.(dst_page) <- unmapped
 
-let page_dirty t ~dst_page =
-  match Hashtbl.find_opt t.pages dst_page with
-  | None -> false
-  | Some st -> st.dirty
+let is_mapped t ~dst_page = state t dst_page != unmapped
+let page_dirty t ~dst_page = (state t dst_page).dirty
 
 let line_index paddr = Addr.page_offset paddr / Addr.line_size
 
 let resolve_read t ~paddr =
-  match Hashtbl.find_opt t.pages (Addr.page_number paddr) with
-  | None -> paddr
-  | Some st ->
+  let st = state t (Addr.page_number paddr) in
+  if st == unmapped then paddr
+  else
     let li = line_index paddr in
     if Bytes.get st.modified li <> '\000' then paddr
     else st.src_addr + (li * Addr.line_size) + (paddr land (Addr.line_size - 1))
 
 let note_write t ~paddr =
-  match Hashtbl.find_opt t.pages (Addr.page_number paddr) with
-  | None -> ()
-  | Some st ->
+  let st = state t (Addr.page_number paddr) in
+  if st != unmapped then begin
     let li = line_index paddr in
     if Bytes.get st.modified li = '\000' then begin
       (* First write to this line: load it from the source so partial
@@ -61,38 +68,37 @@ let note_write t ~paddr =
       Bytes.set st.modified li '\001';
       st.dirty <- true
     end
+  end
 
 let reset_page t ~dst_page ~was_dirty =
   t.perf.Perf.dc_pages_scanned <- t.perf.Perf.dc_pages_scanned + 1;
-  match Hashtbl.find_opt t.pages dst_page with
-  | None ->
-    was_dirty := false;
+  let st = state t dst_page in
+  was_dirty := st.dirty;
+  if st.dirty then begin
+    t.perf.Perf.dc_pages_dirty <- t.perf.Perf.dc_pages_dirty + 1;
+    let dirty_lines = ref 0 in
+    Bytes.iter
+      (fun c -> if c <> '\000' then incr dirty_lines)
+      st.modified;
+    Lvm_obs.Histogram.observe t.dirty_hist !dirty_lines;
+    Bytes.fill st.modified 0 Addr.lines_per_page '\000';
+    st.dirty <- false;
     Cycles.dc_reset_per_page
-  | Some st ->
-    was_dirty := st.dirty;
-    if st.dirty then begin
-      t.perf.Perf.dc_pages_dirty <- t.perf.Perf.dc_pages_dirty + 1;
-      let dirty_lines = ref 0 in
-      Bytes.iter
-        (fun c -> if c <> '\000' then incr dirty_lines)
-        st.modified;
-      Lvm_obs.Histogram.observe t.dirty_hist !dirty_lines;
-      Bytes.fill st.modified 0 Addr.lines_per_page '\000';
-      st.dirty <- false;
-      Cycles.dc_reset_per_page
-      + (Addr.lines_per_page * Cycles.dc_reset_per_dirty_line)
-    end
-    else Cycles.dc_reset_per_page
+    + (Addr.lines_per_page * Cycles.dc_reset_per_dirty_line)
+  end
+  else Cycles.dc_reset_per_page
 
 let modified_lines t ~dst_page =
-  match Hashtbl.find_opt t.pages dst_page with
-  | None -> []
-  | Some st ->
-    let lines = ref [] in
-    for li = Addr.lines_per_page - 1 downto 0 do
-      if Bytes.get st.modified li <> '\000' then lines := li :: !lines
-    done;
-    !lines
+  let st = state t dst_page in
+  let lines = ref [] in
+  for li = Bytes.length st.modified - 1 downto 0 do
+    if Bytes.get st.modified li <> '\000' then lines := li :: !lines
+  done;
+  !lines
 
 let mapped_pages t =
-  Hashtbl.fold (fun pn _ acc -> pn :: acc) t.pages [] |> List.sort compare
+  let pages = ref [] in
+  for pn = Array.length t.pages - 1 downto 0 do
+    if t.pages.(pn) != unmapped then pages := pn :: !pages
+  done;
+  !pages

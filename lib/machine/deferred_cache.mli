@@ -24,7 +24,9 @@ val create : ?obs:Lvm_obs.Ctx.t -> Physmem.t -> Perf.t -> t
 val map : t -> dst_page:int -> src_addr:int -> unit
 (** Declare physical page [dst_page] a deferred-copy destination whose
     line [i] is initialized from [src_addr + 16 * i]. [src_addr] must be
-    line-aligned. Remapping an already-mapped page resets its state. *)
+    line-aligned, and [dst_page] a frame of the memory (raises
+    [Invalid_argument] otherwise). Remapping an already-mapped page resets
+    its state. Page state is held in an array indexed by frame number. *)
 
 val unmap : t -> dst_page:int -> unit
 val is_mapped : t -> dst_page:int -> bool

@@ -134,10 +134,16 @@ let compute t cycles =
   clock := !clock + cycles;
   cpu_boundary t
 
-let read t ~paddr ~size =
-  cpu_boundary t;
+let charge_read ?(words = 1) t ~paddr =
   let c = t.cpu.(t.cur) in
-  c.clk := L1_cache.read c.l1 ~now:!(c.clk) ~paddr;
+  for w = 0 to words - 1 do
+    cpu_boundary t;
+    c.clk :=
+      L1_cache.read c.l1 ~now:!(c.clk) ~paddr:(paddr + (w * Addr.word_size))
+  done
+
+let read t ~paddr ~size =
+  charge_read t ~paddr;
   let actual = Deferred_cache.resolve_read t.deferred ~paddr in
   Physmem.read_sized t.mem actual ~size
 

@@ -1,5 +1,9 @@
-(** Simulated physical memory: a flat array of 4-kilobyte page frames with a
-    simple free-frame allocator.
+(** Simulated physical memory: [frames] 4-kilobyte page frames with a
+    simple free-frame allocator. A frame gets its 4 KB of host memory the
+    first time it is written; a frame never written reads as zeros, so a
+    large machine costs the host only the frames it touches. To every
+    caller the memory behaves as one flat byte array: an access or a blit
+    that straddles two frames works exactly as it would in flat memory.
 
     All values are 32-bit machine words stored little-endian; reads and
     writes of bytes, halfwords and words are supported because log records
@@ -9,7 +13,9 @@
 type t
 
 val create : frames:int -> t
-(** [create ~frames] makes a memory of [frames] 4 KB page frames, all free. *)
+(** [create ~frames] makes a memory of [frames] 4 KB page frames, all free
+    and all reading as zero. Frames are handed out in ascending order,
+    then most-recently-freed first. *)
 
 val frames : t -> int
 val bytes : t -> int

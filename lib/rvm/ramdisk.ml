@@ -350,6 +350,13 @@ let committed_txns entries =
       | Data _ | Encoded _ -> None)
     entries
 
+(* The committed set of one scan, built once so that checking an entry is
+   a hash probe, not a walk of every marker. *)
+let committed_set entries =
+  let set = Int_table.create 64 in
+  List.iter (fun txn -> Int_table.replace set txn ()) (committed_txns entries);
+  set
+
 (* Apply committed Data records in append order. Records carry absolute
    new values, so replay is idempotent. *)
 let image_write_sized image ~off ~size v =
@@ -360,15 +367,17 @@ let image_write_sized image ~off ~size v =
     | 1 -> Bytes.set_uint8 image off (v land 0xFF)
     | _ -> ()
 
-let apply_committed image entries =
-  let committed = committed_txns entries in
+let apply_committed ?committed image entries =
+  let committed =
+    match committed with Some c -> c | None -> committed_set entries
+  in
   let applied = ref 0 in
   List.iter
     (function
-      | Data { txn; off; bytes } when List.mem txn committed ->
+      | Data { txn; off; bytes } when Int_table.mem committed txn ->
         incr applied;
         Bytes.blit bytes 0 image off (Bytes.length bytes)
-      | Encoded { txn; payload } when List.mem txn committed ->
+      | Encoded { txn; payload } when Int_table.mem committed txn ->
         (* decode the codec stream; record addresses are image offsets *)
         let records, _ =
           Log_record.Codec.decode_fragment payload ~pos:0
@@ -408,15 +417,16 @@ let truncate t =
   in
   Kernel.compute t.k (Rvm_costs.truncate_base
                       + (applied_words * Rvm_costs.truncate_per_word));
-  let committed = committed_txns s.s_entries in
+  let committed = committed_set s.s_entries in
   let uncommitted =
     List.filter
       (function
-        | Data { txn; _ } | Encoded { txn; _ } -> not (List.mem txn committed)
+        | Data { txn; _ } | Encoded { txn; _ } ->
+          not (Int_table.mem committed txn)
         | Commit _ | Snapshot _ -> false)
       s.s_entries
   in
-  ignore (apply_committed t.image s.s_entries);
+  ignore (apply_committed ~committed t.image s.s_entries);
   let before = t.log_len in
   rebuild_log t uncommitted;
   match t.on_truncate with

@@ -190,8 +190,9 @@ let enqueue t ev = t.queue <- Event_queue.add t.queue ev
 
 (* {1 State restoration} *)
 
-let is_marker t (r : Log_record.t) =
-  match Lvm.Log_reader.locate t.k r with
+(* [at] is the record's [Log_reader.locate] result. *)
+let is_marker t at =
+  match at with
   | Some (seg, off) ->
     Segment.id seg = Segment.id t.working && off = t.lvt_cell_off
   | None -> false
@@ -204,13 +205,15 @@ let restore_lvm t ~target =
   let stop =
     Lvm.Checkpoint.roll_forward t.k ~log:ls ~from:0 ~apply:(fun ~off:_ r ->
         if r.Log_record.pre_image then `Continue
-        else if is_marker t r && r.Log_record.value >= target then `Stop
         else
-          match Lvm.Log_reader.locate t.k r with
-          | Some (seg, off) when Segment.id seg = Segment.id t.working ->
-            Lvm.Checkpoint.apply_record t.k ~target:t.working ~off r;
-            `Continue
-          | Some _ | None -> `Continue)
+          let at = Lvm.Log_reader.locate t.k r in
+          if is_marker t at && r.Log_record.value >= target then `Stop
+          else
+            match at with
+            | Some (seg, off) when Segment.id seg = Segment.id t.working ->
+              Lvm.Checkpoint.apply_record t.k ~target:t.working ~off r;
+              `Continue
+            | Some _ | None -> `Continue)
   in
   Lvm_log.truncate_suffix (Lvm_log.of_segment t.k ls) ~new_end:stop;
   Kernel.set_logging_enabled t.k t.region true
@@ -457,8 +460,8 @@ let fossil_collect t ~gvt =
         ignore
           (Lvm.Checkpoint.cult t.k ~working:t.working
              ~checkpoint:t.checkpoint ~log:ls
-             ~upto:(fun r ->
-               if is_marker t r then begin
+             ~upto:(fun r at ->
+               if is_marker t at then begin
                  governing := r.Log_record.value;
                  r.Log_record.value < gvt
                end

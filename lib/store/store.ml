@@ -299,7 +299,7 @@ let cross_done t ts s =
 
 (* Worker-path read: charged to the owning shard's CPU, contending with
    its commit path — the pre-MVCC behavior, and the baseline the
-   [bench --mvcc] matrix measures snapshot reads against. *)
+   [lvmctl exp mvcc] comparison measures snapshot reads against. *)
 let worker_read t key =
   let s = shard_of_key t key in
   Kernel.set_cpu t.k s;

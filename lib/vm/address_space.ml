@@ -12,7 +12,7 @@ type pte = {
 
 type t = {
   id : int;
-  table : (int, pte) Hashtbl.t;
+  table : pte Int_table.t; (* keyed by virtual page number *)
   mutable regions : (int * Region.t) list;
   mutable next_base : int;
 }
@@ -21,14 +21,13 @@ type t = {
    one-page guard gap between regions. *)
 let first_base = 0x1000_0000
 
-let make ~id = { id; table = Hashtbl.create 256; regions = []; next_base =
-                   first_base }
+let make ~id =
+  { id; table = Int_table.create 256; regions = []; next_base = first_base }
 
 let id t = t.id
-let lookup t ~vpage = Hashtbl.find_opt t.table vpage
-let install t ~vpage pte = Hashtbl.replace t.table vpage pte
-let remove t ~vpage = Hashtbl.remove t.table vpage
-let iter_ptes t f = Hashtbl.iter f t.table
+let lookup t ~vpage = Int_table.find_opt t.table vpage
+let install t ~vpage pte = Int_table.replace t.table vpage pte
+let remove t ~vpage = Int_table.remove t.table vpage
 let regions t = t.regions
 
 let find_region t ~vaddr =
@@ -82,7 +81,7 @@ let unbind t region =
              reason = "region bound to another space" });
     for vpage = Addr.page_number base
       to Addr.page_number (base + Region.size region - 1) do
-      Hashtbl.remove t.table vpage
+      Int_table.remove t.table vpage
     done;
     t.regions <- List.filter (fun (_, r) -> Region.id r <> Region.id region)
         t.regions;

@@ -24,9 +24,6 @@ val lookup : t -> vpage:int -> pte option
 val install : t -> vpage:int -> pte -> unit
 val remove : t -> vpage:int -> unit
 
-val iter_ptes : t -> (int -> pte -> unit) -> unit
-(** Iterate over (vpage, pte) pairs in no particular order. *)
-
 val regions : t -> (int * Region.t) list
 (** Bound regions as [(base vaddr, region)], sorted by base. *)
 

@@ -16,7 +16,7 @@ type t = {
          which need one log-table entry per data page *)
   slot_direct_page : (int * int) option array; (* inverse of the above *)
   mutable next_victim : int;
-  frame_owner : (int, Segment.t * int) Hashtbl.t; (* frame -> seg, page *)
+  frame_owner : (Segment.t * int) option array; (* frame -> seg, page *)
   dc_sources : (int, unit) Hashtbl.t; (* segment ids serving as dc sources *)
   default_log_frame : int;
   mutable on_protect_fault :
@@ -83,7 +83,7 @@ let evict_page t seg ~page =
           (Address_space.regions space))
       t.spaces;
     Machine.l1_invalidate_page t.machine ~page:frame;
-    Hashtbl.remove t.frame_owner frame;
+    t.frame_owner.(frame) <- None;
     Segment.clear_frame seg ~page;
     Physmem.free_frame (Machine.mem t.machine) frame
 
@@ -98,16 +98,17 @@ let reclaimable t seg =
   && not (Hashtbl.mem t.dc_sources (Segment.id seg))
 
 let reclaim_frames t ~target =
-  let victims =
-    Hashtbl.fold
-      (fun _frame (seg, page) acc ->
-        if List.length acc < target && reclaimable t seg then
-          (seg, page) :: acc
-        else acc)
-      t.frame_owner []
-  in
-  List.iter (fun (seg, page) -> evict_page t seg ~page) victims;
-  List.length victims
+  let victims = ref [] and n = ref 0 and frame = ref 0 in
+  while !n < target && !frame < Array.length t.frame_owner do
+    (match t.frame_owner.(!frame) with
+    | Some (seg, page) when reclaimable t seg ->
+      victims := (seg, page) :: !victims;
+      incr n
+    | Some _ | None -> ());
+    incr frame
+  done;
+  List.iter (fun (seg, page) -> evict_page t seg ~page) (List.rev !victims);
+  !n
 
 let materialize_page t seg ~page =
   match Segment.frame_of_page seg page with
@@ -122,7 +123,7 @@ let materialize_page t seg ~page =
         else Physmem.alloc_frame (Machine.mem t.machine)
     in
     Segment.set_frame seg ~page ~frame:f;
-    Hashtbl.replace t.frame_owner f (seg, page);
+    t.frame_owner.(f) <- Some (seg, page);
     (match (Segment.backing seg, Segment.manager seg) with
     | Some store, _ ->
       (* demand paging: load the page image from the backing store (the
@@ -145,13 +146,17 @@ let materialize_page t seg ~page =
           | None ->
             let f = Physmem.alloc_frame (Machine.mem t.machine) in
             Segment.set_frame src ~page:src_page ~frame:f;
-            Hashtbl.replace t.frame_owner f (src, src_page);
+            t.frame_owner.(f) <- Some (src, src_page);
             f
         in
         Machine.dc_map t.machine ~dst_page:f
           ~src_addr:(Addr.addr_of_page src_frame)
       end);
     f
+
+let owner_of_frame t ~frame =
+  if frame >= 0 && frame < Array.length t.frame_owner then t.frame_owner.(frame)
+  else None
 
 let paddr_of t seg ~off =
   if off < 0 || off >= Segment.size seg then
@@ -406,7 +411,7 @@ let handle_pmt_miss t ~addr =
   | Logger.Prototype -> (
     (* [addr] is physical: recover the owning segment, then the single
        logged region the prototype supports per segment. *)
-    match Hashtbl.find_opt t.frame_owner (Addr.page_number addr) with
+    match owner_of_frame t ~frame:(Addr.page_number addr) with
     | None -> Logger.Drop
     | Some (seg, seg_page) -> (
       match Segment.logged_via seg with
@@ -518,7 +523,7 @@ let create ?obs ?hw ?record_old_values ?codec ?coalesce_depth
       direct_slots = Hashtbl.create 16;
       slot_direct_page = Array.make log_entries None;
       next_victim = 0;
-      frame_owner = Hashtbl.create 256;
+      frame_owner = Array.make frames None;
       dc_sources = Hashtbl.create 16;
       default_log_frame;
       on_protect_fault = None;
@@ -819,8 +824,8 @@ let remap_page t space region ~seg_page ~new_frame =
   | Some old_frame ->
     Machine.compute t.machine Cycles.page_remap;
     Segment.set_frame seg ~page:seg_page ~frame:new_frame;
-    Hashtbl.remove t.frame_owner old_frame;
-    Hashtbl.replace t.frame_owner new_frame (seg, seg_page);
+    t.frame_owner.(old_frame) <- None;
+    t.frame_owner.(new_frame) <- Some (seg, seg_page);
     (match Region.binding region with
     | Some (sid, base) when sid = Address_space.id space ->
       let vpage =
@@ -835,8 +840,6 @@ let remap_page t space region ~seg_page ~new_frame =
     Physmem.free_frame (Machine.mem t.machine) old_frame
 
 (* {1 Raw access} *)
-
-let owner_of_frame t ~frame = Hashtbl.find_opt t.frame_owner frame
 
 let find_mapping t ~vaddr =
   let in_space space =

@@ -125,8 +125,9 @@ val evict_page : t -> Segment.t -> page:int -> unit
 
 val reclaim_frames : t -> target:int -> int
 (** Evict up to [target] reclaimable pages (backed, unlogged, not part of
-    a deferred-copy pair); returns how many were reclaimed. Invoked
-    automatically under memory pressure. *)
+    a deferred-copy pair); returns how many were reclaimed. Victims are
+    the first [target] reclaimable frames in ascending frame number, paged
+    out in that order. Invoked automatically under memory pressure. *)
 
 val create_log_segment :
   ?mode:Lvm_machine.Logger.mode -> t -> size:int -> Segment.t
@@ -256,7 +257,8 @@ val paddr_of : t -> Segment.t -> off:int -> int
 val owner_of_frame : t -> frame:int -> (Segment.t * int) option
 (** Reverse map from a physical frame to the (segment, page) holding it;
     how log readers translate the physical addresses the prototype logger
-    records back to segment offsets (Section 3.1.2). *)
+    records back to segment offsets (Section 3.1.2). An array indexed by
+    frame number; [None] for a free frame or one outside memory. *)
 
 val find_mapping : t -> vaddr:int -> (Segment.t * int) option
 (** Translate a virtual address to (segment, byte offset), preferring the

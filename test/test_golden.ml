@@ -1,0 +1,161 @@
+(* Golden simulated cycles: exact cycle counts and machine counters of
+   four small fixed runs, pinned. The determinism suite only compares two
+   runs of one build; these values catch a change that moves a simulated
+   cycle while claiming to touch host-side code only (memory layout,
+   lookup structures, the replay loop). A change that means to move
+   cycles must update them and say so. *)
+
+open Lvm_machine
+open Lvm_sim
+
+let counters (ps : Perf.t list) =
+  let sum f = List.fold_left (fun acc p -> acc + f p) 0 ps in
+  [ ("l1_hits", sum (fun p -> p.Perf.l1_hits));
+    ("l1_misses", sum (fun p -> p.Perf.l1_misses));
+    ("bus_busy_cycles", sum (fun p -> p.Perf.bus_busy_cycles));
+    ("log_records", sum (fun p -> p.Perf.log_records));
+    ("dc_pages_scanned", sum (fun p -> p.Perf.dc_pages_scanned)) ]
+
+(* Perf records of the distinct kernels behind an engine's schedulers
+   (one shared kernel on a multi-CPU engine, one each on a 1-CPU one). *)
+let engine_perfs engine =
+  Array.fold_left
+    (fun acc s ->
+      let k = Scheduler.kernel s in
+      if List.memq k acc then acc else k :: acc)
+    [] (Timewarp.schedulers engine)
+  |> List.rev_map Lvm_vm.Kernel.perf
+
+let phold ~cpus ~n_schedulers ~strategy ~end_time () =
+  let app = Phold.app ~objects:16 ~object_words:32 ~compute:300 ~seed:7 () in
+  let engine = Timewarp.create ~cpus ~n_schedulers ~strategy ~app () in
+  Phold.inject_population engine ~objects:16 ~population:16 ~seed:7;
+  let r = Timewarp.run engine ~end_time in
+  [ ("elapsed_cycles", r.Timewarp.elapsed_cycles);
+    ("events_committed", r.Timewarp.total_events_committed);
+    ("rollbacks", r.Timewarp.total_rollbacks) ]
+  @ counters (engine_perfs engine)
+
+let tpca () =
+  let k = Lvm_vm.Kernel.create () in
+  let sp = Lvm_vm.Kernel.create_space k in
+  let bank =
+    Lvm_tpc.Bank.layout ~branches:2 ~tellers:10 ~accounts:100 ~history:64
+  in
+  let rlvm =
+    Lvm_rvm.Rlvm.make Lvm_rvm.Rlvm.Config.default k sp
+      ~size:(Lvm_tpc.Bank.segment_bytes bank)
+  in
+  let store = Lvm_tpc.Tpca.rlvm_store rlvm in
+  Lvm_tpc.Tpca.setup store bank;
+  let r = Lvm_tpc.Tpca.run ~seed:3 store bank ~txns:300 in
+  let report = Lvm_rvm.Rlvm.recover rlvm in
+  ( [ ("txn_cycles", r.Lvm_tpc.Tpca.cycles);
+      ("elapsed_cycles", Lvm_vm.Kernel.time k);
+      ("recovery.scanned", report.Lvm_rvm.Ramdisk.scanned);
+      ("recovery.committed", report.Lvm_rvm.Ramdisk.committed);
+      ("recovery.replayed", report.Lvm_rvm.Ramdisk.replayed);
+      ("recovery.truncated_bytes", report.Lvm_rvm.Ramdisk.truncated_bytes) ]
+    @ counters [ Lvm_vm.Kernel.perf k ],
+    Lvm_rvm.Ramdisk.recovery_to_string report )
+
+(* Logged writes under the V1 codec, then a checkpoint rollback that
+   replays the log's first half: the encoded-container walk of
+   [Checkpoint.roll_forward]. *)
+let v1_roll_forward () =
+  let open Lvm_vm in
+  let page = Addr.page_size in
+  let k = Kernel.create ~codec:Log_record.V1 () in
+  let sp = Kernel.create_space k in
+  let checkpoint = Kernel.create_segment k ~size:(2 * page) in
+  let working = Kernel.create_segment k ~size:(2 * page) in
+  Kernel.declare_source k ~dst:working ~src:checkpoint ~offset:0;
+  let region = Kernel.create_region k working in
+  let ls = Kernel.create_log_segment k ~size:(16 * page) in
+  Kernel.set_region_log k region (Some ls);
+  let base = Kernel.bind k sp region in
+  for i = 0 to 599 do
+    Kernel.compute k (i mod 5);
+    (* runs of equal and slowly-changing values exercise Run and Delta *)
+    Kernel.write_word k sp (base + (i * 12 mod (2 * page))) (i / 3)
+  done;
+  let records = Lvm.Log_reader.record_count k ls in
+  let seen = ref 0 in
+  Lvm.Checkpoint.rollback k ~space:sp ~working ~working_region:region ~base
+    ~log:ls ~upto:(fun _ _ ->
+      incr seen;
+      !seen <= records / 2);
+  [ ("records", records);
+    ("elapsed_cycles", Kernel.time k);
+    ("kept_records", Lvm.Log_reader.record_count k ls) ]
+  @ counters [ Kernel.perf k ]
+
+let pinned = Alcotest.(list (pair string int))
+
+(* Every value below was generated before the sparse-memory and
+   lean-replay changes and must not move. *)
+
+let test_phold_lvm_4cpu () =
+  Alcotest.check pinned "4-CPU Lvm_based PHOLD"
+    [ ("elapsed_cycles", 17680132);
+      ("events_committed", 3020);
+      ("rollbacks", 1076);
+      ("l1_hits", 3965695);
+      ("l1_misses", 895919);
+      ("bus_busy_cycles", 7538872);
+      ("log_records", 22744);
+      ("dc_pages_scanned", 1076) ]
+    (phold ~cpus:4 ~n_schedulers:4 ~strategy:State_saving.Lvm_based
+       ~end_time:2000 ())
+
+let test_phold_copy_1cpu () =
+  Alcotest.check pinned "1-CPU Copy_based PHOLD"
+    [ ("elapsed_cycles", 1683562);
+      ("events_committed", 3020);
+      ("rollbacks", 497);
+      ("l1_hits", 29078);
+      ("l1_misses", 16);
+      ("bus_busy_cycles", 128);
+      ("log_records", 0);
+      ("dc_pages_scanned", 0) ]
+    (phold ~cpus:1 ~n_schedulers:2 ~strategy:State_saving.Copy_based
+       ~end_time:2000 ())
+
+let test_tpca_rlvm () =
+  let values, report = tpca () in
+  Alcotest.check pinned "TPC-A over RLVM"
+    [ ("txn_cycles", 13542387);
+      ("elapsed_cycles", 13675368);
+      ("recovery.scanned", 48);
+      ("recovery.committed", 6);
+      ("recovery.replayed", 42);
+      ("recovery.truncated_bytes", 0);
+      ("l1_hits", 13548);
+      ("l1_misses", 1417);
+      ("bus_busy_cycles", 52022);
+      ("log_records", 2814);
+      ("dc_pages_scanned", 1) ]
+    values;
+  Alcotest.(check string) "recovery report"
+    "scanned=48 committed=6 replayed=42 truncated=0 torn=none" report
+
+let test_v1_roll_forward () =
+  Alcotest.check pinned "V1 roll_forward"
+    [ ("records", 600);
+      ("elapsed_cycles", 32846);
+      ("kept_records", 300);
+      ("l1_hits", 981);
+      ("l1_misses", 527);
+      ("bus_busy_cycles", 12384);
+      ("log_records", 600);
+      ("dc_pages_scanned", 2) ]
+    (v1_roll_forward ())
+
+let suites =
+  [ ( "golden",
+      [ Alcotest.test_case "phold lvm 4-cpu cycles" `Quick test_phold_lvm_4cpu;
+        Alcotest.test_case "phold copy 1-cpu cycles" `Quick
+          test_phold_copy_1cpu;
+        Alcotest.test_case "tpca rlvm cycles + recovery" `Quick test_tpca_rlvm;
+        Alcotest.test_case "v1 roll_forward cycles" `Quick
+          test_v1_roll_forward ] ) ]

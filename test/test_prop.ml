@@ -518,6 +518,178 @@ let prop_split_roundtrip rng size =
       "post-merge key %d: got %d want %d" key (read_ok st key) (value key)
   done
 
+(* {1 Sparse physical memory vs a flat byte array}
+
+   Frames get their bytes on first write, so the model is what memory
+   used to be: one zero-filled [Bytes.t]. Every sized read and write,
+   blit in and out, and in-memory blit — at random, often unaligned and
+   frame-straddling addresses, over frames never touched — must agree
+   with it, as must alloc (which re-zeroes), free and [zero_frame]. *)
+
+let prop_physmem_sparse rng size =
+  let frames = 1 + Sm.int rng ~bound:4 in
+  let total = frames * Addr.page_size in
+  let mem = Physmem.create ~frames in
+  let model = Bytes.make total '\000' in
+  let free = ref (List.init frames Fun.id) in
+  let zero fn = Bytes.fill model (fn * Addr.page_size) Addr.page_size '\000' in
+  (* addresses cluster near frame boundaries half of the time *)
+  let addr len =
+    if Sm.bool rng && frames > 1 then
+      let edge = (1 + Sm.int rng ~bound:(frames - 1)) * Addr.page_size in
+      max 0 (min (total - len) (edge - 8 + Sm.int rng ~bound:16))
+    else Sm.int rng ~bound:(total - len + 1)
+  in
+  let model_get a len =
+    let v = ref 0 in
+    for i = len - 1 downto 0 do
+      v := (!v lsl 8) lor Bytes.get_uint8 model (a + i)
+    done;
+    !v
+  in
+  for _ = 1 to 4 * size do
+    match Sm.int rng ~bound:8 with
+    | 0 | 1 ->
+      let len = List.nth [ 1; 2; 4 ] (Sm.int rng ~bound:3) in
+      let a = addr len in
+      let got = Physmem.read_sized mem a ~size:len in
+      expect (got = model_get a len) "read %d at 0x%x: %x, model %x" len a
+        got (model_get a len)
+    | 2 | 3 ->
+      let len = List.nth [ 1; 2; 4 ] (Sm.int rng ~bound:3) in
+      let a = addr len in
+      let v = Int64.to_int (Sm.next_u64 rng) in
+      Physmem.write_sized mem a ~size:len v;
+      for i = 0 to len - 1 do
+        Bytes.set_uint8 model (a + i) ((v lsr (8 * i)) land 0xFF)
+      done
+    | 4 ->
+      let len = Sm.int rng ~bound:(min total 6000) in
+      let src = addr len and dst = addr len in
+      Physmem.blit mem ~src ~dst ~len;
+      Bytes.blit model src model dst len
+    | 5 ->
+      let len = Sm.int rng ~bound:(min total 6000) in
+      let a = addr len in
+      let buf = Bytes.init (len + 2) (fun _ -> Char.chr (Sm.int rng ~bound:256)) in
+      if Sm.bool rng then begin
+        Physmem.blit_of_bytes mem buf ~pos:1 ~dst:a ~len;
+        Bytes.blit buf 1 model a len
+      end
+      else begin
+        Physmem.blit_to_bytes mem ~src:a buf ~pos:1 ~len;
+        expect (Bytes.sub buf 1 len = Bytes.sub model a len)
+          "blit_to_bytes of %d at 0x%x differs" len a
+      end
+    | 6 -> (
+      match !free with
+      | fn :: rest ->
+        let got = Physmem.alloc_frame mem in
+        expect (got = fn) "alloc_frame gave %d, model %d" got fn;
+        free := rest;
+        zero fn
+      | [] ->
+        expect
+          (match Physmem.alloc_frame mem with
+          | _ -> false
+          | exception Physmem.Out_of_frames -> true)
+          "alloc_frame with no free frame did not raise")
+    | _ ->
+      let fn = Sm.int rng ~bound:frames in
+      if Sm.bool rng then begin
+        Physmem.zero_frame mem fn;
+        zero fn
+      end
+      else if not (List.mem fn !free) then begin
+        Physmem.free_frame mem fn;
+        free := fn :: !free
+      end
+  done;
+  expect (Physmem.frames_free mem = List.length !free) "frames_free %d, model %d"
+    (Physmem.frames_free mem) (List.length !free);
+  let all = Bytes.create total in
+  Physmem.blit_to_bytes mem ~src:0 all ~pos:0 ~len:total;
+  expect (Bytes.equal all model) "final memory differs from the flat model"
+
+(* {1 Charge-only reads vs full reads}
+
+   [Machine.charge_read ~words:n] must be [n] word [Machine.read]s minus
+   the data: two machines fed the same access stream — reads issued one
+   way on one and the other way on the other, with writes and CPU
+   switches between — must agree on every CPU clock, every perf counter
+   and every L1 line, and, with a [Plan.crash_at] armed, crash at the
+   same access and cycle. Runs of [n] words sometimes cross a line. *)
+
+let prop_charge_read rng size =
+  let cpus = 1 + Sm.int rng ~bound:4 in
+  let make () = Machine.create ~frames:8 ~cpus () in
+  let full = make () and charged = make () in
+  let crash_at =
+    if Sm.bool rng then Some (Sm.int rng ~bound:(50 * size)) else None
+  in
+  Option.iter
+    (fun n ->
+      Machine.set_fault_plan full (Some (Lvm_fault.Plan.crash_at n));
+      Machine.set_fault_plan charged (Some (Lvm_fault.Plan.crash_at n)))
+    crash_at;
+  let lines = ref [] in
+  let step m op =
+    match op with
+    | `Cpu c -> Machine.set_cpu m c
+    | `Read (paddr, words, true) ->
+      for w = 0 to words - 1 do
+        ignore (Machine.read m ~paddr:(paddr + (4 * w)) ~size:4)
+      done
+    | `Read (paddr, words, false) -> Machine.charge_read m ~paddr ~words
+    | `Write (paddr, v) ->
+      Machine.write m ~paddr ~size:4 ~mode:Machine.Write_back ~logged:false v
+    | `Compute c -> Machine.compute m c
+  in
+  let outcome m op =
+    match step m op with
+    | () -> None
+    | exception Lvm_fault.Fault.Crashed { cycle; _ } -> Some cycle
+  in
+  let crashed = ref false in
+  let i = ref 0 in
+  while (not !crashed) && !i < 8 * size do
+    incr i;
+    let paddr = Sm.int rng ~bound:((8 * Addr.page_size / 4) - 4) * 4 in
+    let op, op' =
+      match Sm.int rng ~bound:8 with
+      | 0 -> let c = `Cpu (Sm.int rng ~bound:cpus) in (c, c)
+      | 1 -> let w = `Write (paddr, Sm.int rng ~bound:1000) in (w, w)
+      | 2 -> let c = `Compute (Sm.int rng ~bound:20) in (c, c)
+      | _ ->
+        let words = 1 + Sm.int rng ~bound:4 in
+        lines := paddr :: (paddr + (4 * (words - 1))) :: !lines;
+        (`Read (paddr, words, true), `Read (paddr, words, false))
+    in
+    let a = outcome full op and b = outcome charged op' in
+    expect (a = b) "step %d: crash outcome differs" !i;
+    if a <> None then crashed := true
+  done;
+  for c = 0 to cpus - 1 do
+    expect
+      (Machine.cpu_time full ~cpu:c = Machine.cpu_time charged ~cpu:c)
+      "cpu %d clock %d vs %d" c (Machine.cpu_time full ~cpu:c)
+      (Machine.cpu_time charged ~cpu:c)
+  done;
+  expect
+    (Perf.to_alist (Machine.perf full) = Perf.to_alist (Machine.perf charged))
+    "perf counters differ";
+  for c = 0 to cpus - 1 do
+    Machine.set_cpu full c;
+    Machine.set_cpu charged c;
+    List.iter
+      (fun paddr ->
+        expect
+          (L1_cache.contains_line (Machine.l1 full) ~paddr
+          = L1_cache.contains_line (Machine.l1 charged) ~paddr)
+          "cpu %d: L1 residency of 0x%x differs" c paddr)
+      !lines
+  done
+
 let prop name ?max_size ?cases:c p =
   let shown = match c with None -> cases | Some c -> c in
   Alcotest.test_case (Printf.sprintf "%s (%d cases)" name shown) `Quick
@@ -533,6 +705,10 @@ let suites =
         prop "bus arbiter fairness" prop_bus_fairness;
         prop "wal round-trip + torn tail" ~max_size:128 prop_wal;
         prop "extent ring fold round-trip" ~max_size:64 prop_extent_ring;
+        prop "sparse physmem vs flat bytes" ~max_size:64 ~cases:(min cases 300)
+          prop_physmem_sparse;
+        prop "charge_read matches read" ~max_size:64 ~cases:(min cases 200)
+          prop_charge_read;
         Alcotest.test_case "saturation overloads" `Quick test_overload_fires;
       ] );
     ( "hotshard.prop",

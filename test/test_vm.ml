@@ -444,7 +444,7 @@ let test_rollback_to_marker () =
   let kept = ref 0 in
   Lvm.Checkpoint.rollback k ~space:sp ~working ~working_region:region ~base
     ~log:ls
-    ~upto:(fun _ ->
+    ~upto:(fun _ _ ->
       incr kept;
       !kept <= 2);
   check "word0 from first write" 100 (Kernel.read_word k sp (base + 0));
@@ -478,7 +478,7 @@ let test_cult_then_rollback_loses_nothing () =
   Kernel.write_word k sp (base + 8) 23;
   (* roll back discarding the post-CULT write *)
   Lvm.Checkpoint.rollback k ~space:sp ~working ~working_region:region ~base
-    ~log:ls ~upto:(fun _ -> false);
+    ~log:ls ~upto:(fun _ _ -> false);
   check "pre-CULT write survives" 21 (Kernel.read_word k sp (base + 0));
   check "pre-CULT write survives 2" 22 (Kernel.read_word k sp (base + 4));
   (* word 2's initial value was 2*2 = 4 *)
@@ -511,7 +511,7 @@ let prop_rollback_equals_prefix_replay =
       let seen = ref 0 in
       Lvm.Checkpoint.rollback k ~space:sp ~working ~working_region:region
         ~base ~log:ls
-        ~upto:(fun _ ->
+        ~upto:(fun _ _ ->
           incr seen;
           !seen <= keep);
       (* model: initial state then the kept prefix *)
