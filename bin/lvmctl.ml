@@ -2,7 +2,8 @@
 
    Subcommands run the reproduction experiments (every paper table and
    figure plus the comparisons behind the committed BENCH_n.json files),
-   TimeWarp simulations, TPC-A, and the synthetic state-saving workload.
+   TimeWarp simulations, TPC-A, the synthetic state-saving workload, the
+   crash sweeps and the logstats/store/fams/repl workloads ([report]).
    Every command routes its output through one formatter, and the
    workload commands take [--metrics human|json|csv] to append merged
    counters and histograms from every machine the run created. *)
@@ -31,6 +32,19 @@ let with_metrics ?label format f =
   let result = Lvm_tools.Metrics.with_ambient ?label ~format ppf f in
   Format.pp_print_flush ppf ();
   result
+
+let seed_arg ?(doc = "Workload seed.") default =
+  Arg.(value & opt int default & info [ "seed" ] ~doc)
+
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit one JSON object instead.")
+
+(* A report is one field list: one JSON envelope with [--json], else one
+   [name value] line per field. *)
+let report ~json ~kind fields =
+  let open Lvm_tools.Output_stream.Envelope in
+  if json then emit ~kind ppf fields else print ppf fields;
+  Format.pp_print_flush ppf ()
 
 (* {1 experiments} *)
 
@@ -61,7 +75,7 @@ let exp_cmd =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"ID" ~doc:"Experiment id (see $(b,lvmctl list)).")
   in
-  let json_arg =
+  let record_arg =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
              ~doc:"Write the experiment's JSON record (the committed \
@@ -88,7 +102,7 @@ let exp_cmd =
   Cmd.v
     (Cmd.info "exp"
        ~doc:"Run one experiment; exits 1 if it misses a target.")
-    Term.(ret (const run $ id_arg $ quick_arg $ metrics_arg $ json_arg))
+    Term.(ret (const run $ id_arg $ quick_arg $ metrics_arg $ record_arg))
 
 let all_cmd =
   let run quick metrics =
@@ -126,7 +140,7 @@ let sim_cmd =
   let end_time =
     Arg.(value & opt int 500 & info [ "end-time" ] ~doc:"Virtual end time.")
   in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"PHOLD seed.") in
+  let seed = seed_arg ~doc:"PHOLD seed." 7 in
   let strategy =
     Arg.(value & opt strategy_conv Lvm_sim.State_saving.Lvm_based
          & info [ "strategy" ] ~doc:"State saving: lvm or copy.")
@@ -151,32 +165,23 @@ let sim_cmd =
   let run schedulers objects population end_time seed strategy workload
       engine_kind cpus metrics =
     if cpus <= 0 then `Error (false, "--cpus must be positive")
+    else if schedulers <= 0 then `Error (false, "--schedulers must be positive")
+    else if objects <= 0 then `Error (false, "--objects must be positive")
     else begin
-    let app, inject_tw, inject_cons, name =
+    let app, initial, name =
       match workload with
       | `Phold ->
         ( Lvm_sim.Phold.app ~objects ~seed (),
-          (fun e ->
-            Lvm_sim.Phold.inject_population e ~objects ~population ~seed),
-          (fun e ->
-            for i = 0 to population - 1 do
-              let h = Lvm_sim.Phold.hash seed i 17 23 in
-              Lvm_sim.Conservative.inject e ~time:(1 + (h mod 10))
-                ~dst:(h / 16 mod objects) ~payload:(h land 0xFFFF)
-            done),
+          Lvm_sim.Phold.population ~objects ~population ~seed,
           "PHOLD" )
       | `Queueing ->
         ( Lvm_sim.Queueing.app ~stations:objects ~seed,
-          (fun e ->
-            Lvm_sim.Queueing.inject_customers e ~stations:objects
-              ~customers:population ~seed),
-          (fun e ->
-            for c = 0 to population - 1 do
-              let h = Lvm_sim.Phold.hash seed c 3 5 in
-              Lvm_sim.Conservative.inject e ~time:(1 + (h mod 8))
-                ~dst:(h / 8 mod objects) ~payload:(c land 0xFFFF)
-            done),
+          Lvm_sim.Queueing.arrivals ~stations:objects ~customers:population
+            ~seed,
           "queueing network" )
+    in
+    let inject f =
+      List.iter (fun (time, dst, payload) -> f ~time ~dst ~payload) initial
     in
     with_metrics ~label:"sim" metrics (fun () ->
         match engine_kind with
@@ -184,7 +189,7 @@ let sim_cmd =
           let e =
             Lvm_sim.Conservative.create ~n_schedulers:schedulers ~app ()
           in
-          inject_cons e;
+          inject (Lvm_sim.Conservative.inject e);
           let r = Lvm_sim.Conservative.run e ~end_time in
           Format.fprintf ppf
             "%s (conservative): %d schedulers, %d objects, %d tokens, \
@@ -203,7 +208,7 @@ let sim_cmd =
             Lvm_sim.Timewarp.create ~cpus ~n_schedulers:schedulers ~strategy
               ~app ()
           in
-          inject_tw engine;
+          inject (Lvm_sim.Timewarp.inject engine);
           let r = Lvm_sim.Timewarp.run engine ~end_time in
           Format.fprintf ppf
             "%s: %d schedulers, %d objects, %d tokens, end-time %d (%s%s)@."
@@ -267,10 +272,12 @@ let tpca_cmd =
          & info [ "store" ] ~doc:"Recoverable store: rvm or rlvm.")
   in
   let run txns store metrics =
-    with_metrics ~label:"tpca" metrics (fun () -> run_tpca ~txns ~store)
+    if txns <= 0 then `Error (false, "--txns must be positive")
+    else
+      `Ok (with_metrics ~label:"tpca" metrics (fun () -> run_tpca ~txns ~store))
   in
   Cmd.v (Cmd.info "tpca" ~doc:"Run the TPC-A debit-credit benchmark.")
-    Term.(const run $ txns $ store $ metrics_arg)
+    Term.(ret (const run $ txns $ store $ metrics_arg))
 
 (* {1 synthetic} *)
 
@@ -308,128 +315,57 @@ let synthetic_cmd =
          & info [ "strategy" ] ~doc:"lvm, copy or page-protect.")
   in
   let run events c s w strategy metrics =
-    with_metrics ~label:"synthetic" metrics (fun () ->
-        run_synthetic ~events ~c ~s ~w strategy)
+    if events <= 0 then `Error (false, "--events must be positive")
+    else if s <= 0 || s mod 4 <> 0 then
+      `Error (false, "--object-bytes must be a positive multiple of 4")
+    else
+      `Ok (with_metrics ~label:"synthetic" metrics (fun () ->
+          run_synthetic ~events ~c ~s ~w strategy))
   in
   Cmd.v
     (Cmd.info "synthetic"
        ~doc:"Run the Section 4.3 synthetic simulation workload.")
-    Term.(const run $ events $ c $ s $ w $ strategy $ metrics_arg)
+    Term.(ret (const run $ events $ c $ s $ w $ strategy $ metrics_arg))
 
 (* {1 crashsweep} *)
 
 let crashsweep_cmd =
-  let points =
-    Arg.(value & opt int 200
-         & info [ "points" ] ~doc:"Crash points swept over the workload.")
-  in
-  let torn =
-    Arg.(value & opt int 24
-         & info [ "torn" ] ~doc:"Torn-write points (WAL appends torn).")
-  in
-  let txns =
-    Arg.(value & opt int 12
-         & info [ "txns" ] ~doc:"Transactions in the swept workload.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Sweep seed.") in
-  let cpus =
-    Arg.(value & opt int 1
-         & info [ "cpus" ]
-             ~doc:"Machine CPUs per swept run (workload runs on CPU 0).")
-  in
-  let group =
-    Arg.(value & opt int 1
-         & info [ "group" ]
-             ~doc:"Group-commit batch size for the RLVM under test \
-                   (1 forces the WAL on every commit).")
-  in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ]
-             ~doc:"Sweep a sharded store with cross-shard two-phase \
-                   commits instead of the single-store TPC-A workload.")
+  let module C = Lvm_tpc.Crash_sweep in
+  let names = List.map (fun (c : C.subject) -> c.name) C.subjects in
+  let subjects_arg =
+    Arg.(value
+         & pos_all (enum (List.combine names C.subjects)) []
+         & info [] ~docv:"SUBJECT"
+             ~doc:("Sweep only these subjects (default: all): "
+                   ^ String.concat ", " names ^ "."))
   in
   let show_trace =
     Arg.(value & flag
          & info [ "trace" ]
-             ~doc:"Print the deterministic per-run recovery trace.")
+             ~doc:"Print each sweep's deterministic per-run recovery trace.")
   in
-  let split =
-    Arg.(value & flag
-         & info [ "split" ]
-             ~doc:"Sweep the shard-move (split/merge) protocol instead: a \
-                   scripted split + merge schedule crashed at every point, \
-                   including inside the cutover force itself.")
-  in
-  let cutover =
-    Arg.(value & opt int 2
-         & info [ "cutover" ]
-             ~doc:"With $(b,--split): crash points injected at the \
-                   split-cutover fault site.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit one JSON object instead.")
-  in
-  let run points torn txns seed cpus group shards split cutover show_trace
-      json =
-    if cpus <= 0 then `Error (false, "--cpus must be positive")
-    else if group <= 0 then `Error (false, "--group must be positive")
-    else if shards <= 0 then `Error (false, "--shards must be positive")
-    else begin
-    (* the split sweep needs a move target; default to two shards *)
-    let shards = if split && shards = 1 then 2 else shards in
-    let o =
-      if split then
-        Lvm_tpc.Crash_sweep.run_split ~seed ~points ~torn_points:torn
-          ~cutover_points:cutover ~shards ()
-      else
-        Lvm_tpc.Crash_sweep.run ~seed ~txns ~points ~torn_points:torn ~cpus
-          ~group ~shards ()
-    in
-    let kind = if split then "splitsweep" else "crashsweep" in
-    if json then begin
+  let run subjects show_trace json =
+    let pass (c : C.subject) =
+      let o, problems = C.check c in
       let open Lvm_tools.Output_stream.Envelope in
-      emit ~kind ppf
-        [ ("seed", Int seed); ("txns", Int txns); ("cpus", Int cpus);
-          ("group", Int group); ("shards", Int shards);
-          ("split", Int (Bool.to_int split));
-          ("points", Int o.Lvm_tpc.Crash_sweep.points);
-          ("crashed", Int o.Lvm_tpc.Crash_sweep.crashed);
-          ("completed", Int o.Lvm_tpc.Crash_sweep.completed);
-          ("torn", Int o.Lvm_tpc.Crash_sweep.torn);
-          ("failures",
-           List
-             (List.map (fun f -> String f) o.Lvm_tpc.Crash_sweep.failures))
-        ]
-    end
-    else begin
-      Format.fprintf ppf
-        "%s (%d cpu%s, group %d%s): %d points (%d crashed, %d \
-         completed, %d torn tails), %d failures@."
-        (if split then "split sweep" else "crash sweep")
-        cpus
-        (if cpus = 1 then "" else "s")
-        group
-        (if shards = 1 then "" else Printf.sprintf ", %d shards" shards)
-        o.Lvm_tpc.Crash_sweep.points o.Lvm_tpc.Crash_sweep.crashed
-        o.Lvm_tpc.Crash_sweep.completed o.Lvm_tpc.Crash_sweep.torn
-        (List.length o.Lvm_tpc.Crash_sweep.failures);
-      List.iter
-        (fun f -> Format.fprintf ppf "FAIL: %s@." f)
-        o.Lvm_tpc.Crash_sweep.failures
-    end;
-    if show_trace then Format.fprintf ppf "%s" o.Lvm_tpc.Crash_sweep.trace;
-    Format.pp_print_flush ppf ();
-    if o.Lvm_tpc.Crash_sweep.failures <> [] then exit 1;
-    `Ok ()
-    end
+      report ~json ~kind:"crashsweep"
+        [ ("subject", String c.name); ("points", Int o.points);
+          ("crashed", Int o.crashed); ("completed", Int o.completed);
+          ("torn", Int o.torn);
+          ("failures", List (List.map (fun p -> String p) problems)) ];
+      if show_trace then Format.fprintf ppf "%s@?" o.trace;
+      problems = []
+    in
+    let subjects = if subjects = [] then C.subjects else subjects in
+    if List.mem false (List.map pass subjects) then exit 1
   in
   Cmd.v
     (Cmd.info "crashsweep"
-       ~doc:"Crash a transactional RLVM workload at every swept point, \
-             recover, and check crash-consistency invariants.")
-    Term.(ret (const run $ points $ torn $ txns $ seed $ cpus $ group
-          $ shards $ split $ cutover $ show_trace $ json))
+       ~doc:"Run crash sweeps at their CI size, each twice: crash the \
+             workload at every swept point, recover, check the \
+             crash-consistency invariants and trace determinism. Exits 1 \
+             on any problem.")
+    Term.(const run $ subjects_arg $ show_trace $ json_arg)
 
 (* {1 logstats} *)
 
@@ -469,98 +405,48 @@ let run_logstats ~writes ~hot ~seed ~limit ~codec ~coalesce ~txn ~json =
   let top = Lvm_tools.Log_stats.top_rewritten ~limit k ~watched:seg ~log:ls in
   let ring = Lvm_log.stats log in
   let d = Lvm_tools.Log_stats.diet k ~log ~txns:!txns in
-  if json then begin
-    let open Lvm_tools.Output_stream.Envelope in
-    emit ~kind:"logstats" ppf
-      [ ("records", Int s.Lvm_tools.Log_stats.records);
-        ("distinct_locations",
-         Int s.Lvm_tools.Log_stats.distinct_locations);
-        ("redundant", Int s.Lvm_tools.Log_stats.redundant);
-        ("redundancy_ratio",
-         Float s.Lvm_tools.Log_stats.redundancy_ratio);
-        ("top_rewritten",
-         List
-           (List.map
-              (fun (off, n) ->
-                Obj [ ("offset", Int off); ("writes", Int n) ])
-              top));
-        ("log",
-         Obj
-           [ ("extents", Int ring.Lvm_log.extents);
-             ("extent_pages", Int ring.Lvm_log.extent_pages);
-             ("write_pos", Int ring.Lvm_log.write_pos);
-             ("capacity", Int ring.Lvm_log.capacity);
-             ("utilization_pct", Int ring.Lvm_log.utilization_pct);
-             ("switches", Int ring.Lvm_log.switches);
-             ("sealed_bytes", Int d.Lvm_tools.Log_stats.sealed_bytes);
-             ("active_bytes", Int d.Lvm_tools.Log_stats.active_bytes) ]);
-        ("diet",
-         Obj
-           [ ("codec",
-              String
-                (match d.Lvm_tools.Log_stats.version with
-                | Lvm_machine.Log_record.V0 -> "v0"
-                | Lvm_machine.Log_record.V1 -> "v1"));
-             ("txns", Int d.Lvm_tools.Log_stats.txns);
-             ("bytes_per_txn", Float d.Lvm_tools.Log_stats.bytes_per_txn);
-             ("absorbed", Int d.Lvm_tools.Log_stats.absorbed);
-             ("flushed", Int d.Lvm_tools.Log_stats.flushed);
-             ("absorption_ratio",
-              Float d.Lvm_tools.Log_stats.absorption_ratio);
-             ("records_raw", Int d.Lvm_tools.Log_stats.raw);
-             ("records_run", Int d.Lvm_tools.Log_stats.run);
-             ("records_delta", Int d.Lvm_tools.Log_stats.delta);
-             ("records_pad", Int d.Lvm_tools.Log_stats.pad);
-             ("bytes_logical", Int d.Lvm_tools.Log_stats.bytes_logical);
-             ("bytes_encoded", Int d.Lvm_tools.Log_stats.bytes_encoded) ]) ]
-  end
-  else begin
-    Format.fprintf ppf
-      "log analysis: %d records, %d distinct locations, %d redundant \
-       (%.1f%%)@."
-      s.Lvm_tools.Log_stats.records s.Lvm_tools.Log_stats.distinct_locations
-      s.Lvm_tools.Log_stats.redundant
-      (100. *. s.Lvm_tools.Log_stats.redundancy_ratio);
-    Format.fprintf ppf
-      "log ring: %d extents of %d page(s), write_pos %d/%d (%d%% full), \
-       %d extent switch(es), %d B sealed / %d B active@."
-      ring.Lvm_log.extents ring.Lvm_log.extent_pages ring.Lvm_log.write_pos
-      ring.Lvm_log.capacity ring.Lvm_log.utilization_pct
-      ring.Lvm_log.switches d.Lvm_tools.Log_stats.sealed_bytes
-      d.Lvm_tools.Log_stats.active_bytes;
-    Format.fprintf ppf
-      "record stream: %s, %.1f bytes/txn over %d txn(s)@."
-      (match d.Lvm_tools.Log_stats.version with
-      | Lvm_machine.Log_record.V0 -> "v0 (16 B fixed records)"
-      | Lvm_machine.Log_record.V1 -> "v1 (versioned codec)")
-      d.Lvm_tools.Log_stats.bytes_per_txn d.Lvm_tools.Log_stats.txns;
-    (match d.Lvm_tools.Log_stats.version with
-    | Lvm_machine.Log_record.V0 -> ()
-    | Lvm_machine.Log_record.V1 ->
-      Format.fprintf ppf
-        "  records: %d raw, %d run, %d delta, %d pad; %d logical B -> %d \
-         encoded B (%.1f%% saved)@."
-        d.Lvm_tools.Log_stats.raw d.Lvm_tools.Log_stats.run
-        d.Lvm_tools.Log_stats.delta d.Lvm_tools.Log_stats.pad
-        d.Lvm_tools.Log_stats.bytes_logical
-        d.Lvm_tools.Log_stats.bytes_encoded
-        (if d.Lvm_tools.Log_stats.bytes_logical = 0 then 0.
-         else
-           100.
-           *. (1.
-               -. float_of_int d.Lvm_tools.Log_stats.bytes_encoded
-                  /. float_of_int d.Lvm_tools.Log_stats.bytes_logical)));
-    if d.Lvm_tools.Log_stats.absorbed + d.Lvm_tools.Log_stats.flushed > 0 then
-      Format.fprintf ppf
-        "  coalescing: %d absorbed / %d flushed (%.1f%% absorption)@."
-        d.Lvm_tools.Log_stats.absorbed d.Lvm_tools.Log_stats.flushed
-        (100. *. d.Lvm_tools.Log_stats.absorption_ratio);
-    Format.fprintf ppf "top rewritten offsets:@.";
-    List.iter
-      (fun (off, n) -> Format.fprintf ppf "  +0x%04x  %4d writes@." off n)
-      top
-  end;
-  Format.pp_print_flush ppf ()
+  let open Lvm_tools.Output_stream.Envelope in
+  report ~json ~kind:"logstats"
+    [ ("records", Int s.Lvm_tools.Log_stats.records);
+      ("distinct_locations",
+       Int s.Lvm_tools.Log_stats.distinct_locations);
+      ("redundant", Int s.Lvm_tools.Log_stats.redundant);
+      ("redundancy_ratio",
+       Float s.Lvm_tools.Log_stats.redundancy_ratio);
+      ("top_rewritten",
+       List
+         (List.map
+            (fun (off, n) ->
+              Obj [ ("offset", Int off); ("writes", Int n) ])
+            top));
+      ("log",
+       Obj
+         [ ("extents", Int ring.Lvm_log.extents);
+           ("extent_pages", Int ring.Lvm_log.extent_pages);
+           ("write_pos", Int ring.Lvm_log.write_pos);
+           ("capacity", Int ring.Lvm_log.capacity);
+           ("utilization_pct", Int ring.Lvm_log.utilization_pct);
+           ("switches", Int ring.Lvm_log.switches);
+           ("sealed_bytes", Int d.Lvm_tools.Log_stats.sealed_bytes);
+           ("active_bytes", Int d.Lvm_tools.Log_stats.active_bytes) ]);
+      ("diet",
+       Obj
+         [ ("codec",
+            String
+              (Lvm_machine.Log_record.version_to_string
+                 d.Lvm_tools.Log_stats.version));
+           ("txns", Int d.Lvm_tools.Log_stats.txns);
+           ("bytes_per_txn", Float d.Lvm_tools.Log_stats.bytes_per_txn);
+           ("absorbed", Int d.Lvm_tools.Log_stats.absorbed);
+           ("flushed", Int d.Lvm_tools.Log_stats.flushed);
+           ("absorption_ratio",
+            Float d.Lvm_tools.Log_stats.absorption_ratio);
+           ("records_raw", Int d.Lvm_tools.Log_stats.raw);
+           ("records_run", Int d.Lvm_tools.Log_stats.run);
+           ("records_delta", Int d.Lvm_tools.Log_stats.delta);
+           ("records_pad", Int d.Lvm_tools.Log_stats.pad);
+           ("bytes_logical", Int d.Lvm_tools.Log_stats.bytes_logical);
+           ("bytes_encoded", Int d.Lvm_tools.Log_stats.bytes_encoded) ]) ]
 
 let logstats_cmd =
   let writes =
@@ -571,9 +457,7 @@ let logstats_cmd =
     Arg.(value & opt int 32
          & info [ "hot" ] ~doc:"Hot-set size in words (takes 80% of writes).")
   in
-  let seed =
-    Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Workload seed.")
-  in
+  let seed = seed_arg 11 in
   let limit =
     Arg.(value & opt int 10
          & info [ "limit" ] ~doc:"Top rewritten offsets to report.")
@@ -599,18 +483,13 @@ let logstats_cmd =
                    is hard-synced (a commit boundary, draining the \
                    coalescing buffer).")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit one JSON object instead.")
-  in
   let run writes hot seed limit codec coalesce txn json =
     if writes <= 0 then `Error (false, "--writes must be positive")
     else if hot <= 0 then `Error (false, "--hot must be positive")
     else if coalesce < 0 then `Error (false, "--coalesce must be >= 0")
     else if txn <= 0 then `Error (false, "--txn must be positive")
-    else begin
-      run_logstats ~writes ~hot ~seed ~limit ~codec ~coalesce ~txn ~json;
-      `Ok ()
-    end
+    else
+      `Ok (run_logstats ~writes ~hot ~seed ~limit ~codec ~coalesce ~txn ~json)
   in
   Cmd.v
     (Cmd.info "logstats"
@@ -618,7 +497,7 @@ let logstats_cmd =
              2.7 redundancy analysis, the logging-bandwidth diet \
              (codec/coalescing) counters, and the extent-ring state.")
     Term.(ret (const run $ writes $ hot $ seed $ limit $ codec $ coalesce
-          $ txn $ json))
+          $ txn $ json_arg))
 
 (* {1 trace} *)
 
@@ -722,9 +601,7 @@ let store_cmd =
     Arg.(value & opt int 4
          & info [ "writes" ] ~doc:"Writes per transaction.")
   in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload seed.")
-  in
+  let seed = seed_arg 7 in
   let group =
     Arg.(value & opt int 1
          & info [ "group" ] ~doc:"Per-shard group-commit batch size.")
@@ -786,9 +663,6 @@ let store_cmd =
                    commit timestamp $(docv) and probe a few keys \
                    through it.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit one JSON object instead.")
-  in
   let run shards txns cross writes seed group compute zipf split rate
       open_gap queue_cap read_heavy snap_readers as_of json metrics =
     if shards <= 0 then `Error (false, "--shards must be positive")
@@ -800,6 +674,7 @@ let store_cmd =
       `Error (false, "--snapshot-readers must be positive")
     else begin
       with_metrics ~label:"store" metrics (fun () ->
+          let open Lvm_tools.Output_stream.Envelope in
           let st =
             Lvm_store.Store.create
               { Lvm_store.Store.Config.default with
@@ -809,6 +684,11 @@ let store_cmd =
             match zipf with
             | Some theta -> Lvm_store.Workload.Zipfian { theta }
             | None -> Lvm_store.Workload.Uniform
+          in
+          let read_mode, read_mode_name =
+            match snap_readers with
+            | Some _ -> (Lvm_store.Workload.Snapshot, "snapshot")
+            | None -> (Lvm_store.Workload.Worker, "worker")
           in
           let arrival =
             match open_gap with
@@ -827,124 +707,64 @@ let store_cmd =
                   (if split then Some Lvm_store.Workload.default_split
                    else None);
                 read_pct = (if read_heavy then 95 else 0);
-                read_mode =
-                  (match snap_readers with
-                  | Some _ -> Lvm_store.Workload.Snapshot
-                  | None -> Lvm_store.Workload.Worker);
+                read_mode;
                 readers = Option.value snap_readers ~default:1 }
           in
           (* The time-travel probe: a handful of evenly spaced keys read
              through a snapshot pinned at the requested timestamp. *)
-          let asof_probe =
-            Option.map
-              (fun ts ->
-                match Lvm_store.Store.Snapshot.as_of st ~ts with
-                | Error e -> (ts, Error (Lvm.Lvm_error.to_string e))
-                | Ok snap ->
-                  let keys =
-                    (Lvm_store.Store.config st).Lvm_store.Store.Config.keys
-                  in
-                  let n = min 8 keys in
-                  let vals =
-                    List.init n (fun i ->
-                        let key = i * (max 1 (keys / n)) in
-                        ( key,
-                          match Lvm_store.Store.Snapshot.read snap key with
-                          | Ok v -> v
-                          | Error _ -> -1 ))
-                  in
-                  Lvm_store.Store.Snapshot.release snap;
-                  (ts, Ok vals))
-              as_of
+          let as_of_probe ts =
+            match Lvm_store.Store.Snapshot.as_of st ~ts with
+            | Error e ->
+              Obj
+                [ ("ts", Int ts);
+                  ("error", String (Lvm.Lvm_error.to_string e)) ]
+            | Ok snap ->
+              let keys =
+                (Lvm_store.Store.config st).Lvm_store.Store.Config.keys
+              in
+              let n = min 8 keys in
+              let value key =
+                match Lvm_store.Store.Snapshot.read snap key with
+                | Ok v -> v
+                | Error _ -> -1
+              in
+              let values =
+                List.init n (fun i ->
+                    let key = i * max 1 (keys / n) in
+                    Obj [ ("key", Int key); ("value", Int (value key)) ])
+              in
+              Lvm_store.Store.Snapshot.release snap;
+              Obj [ ("ts", Int ts); ("values", List values) ]
           in
-          if json then begin
-            let open Lvm_tools.Output_stream.Envelope in
-            emit ~kind:"store" ppf
-              [ ("shards", Int shards); ("txns", Int txns);
-                ("cross_pct", Int cross); ("seed", Int seed);
-                ("group", Int group);
-                ("zipf", Float (Option.value zipf ~default:0.));
-                ("rate", Float rate);
-                ("executed", Int r.Lvm_store.Workload.executed);
-                ("reads", Int r.Lvm_store.Workload.reads);
-                ("read_mode",
-                 String (match snap_readers with
-                        | Some _ -> "snapshot"
-                        | None -> "worker"));
-                ("cross", Int r.Lvm_store.Workload.cross);
-                ("shed", Int r.Lvm_store.Workload.shed);
-                ("failed", Int r.Lvm_store.Workload.failed);
-                ("requeued", Int r.Lvm_store.Workload.requeued);
-                ("moved", Int r.Lvm_store.Workload.moved);
-                ("dropped", Int r.Lvm_store.Workload.dropped);
-                ("splits", Int r.Lvm_store.Workload.splits);
-                ("merges", Int r.Lvm_store.Workload.merges);
-                ("wall_cycles", Int r.Lvm_store.Workload.wall_cycles);
-                ("cycles_per_txn", Float r.Lvm_store.Workload.cycles_per_txn);
-                ("per_shard",
-                 List
-                   (Array.to_list
-                      (Array.mapi
-                         (fun i (s : Lvm_store.Workload.shard_stat) ->
-                           Obj
-                             [ ("shard", Int i); ("txns", Int s.txns);
-                               ("cycles", Int s.cycles) ])
-                         r.Lvm_store.Workload.per_shard)));
-                ("as_of",
-                 match asof_probe with
-                 | None -> Null
-                 | Some (ts, Error e) ->
-                   Obj [ ("ts", Int ts); ("error", String e) ]
-                 | Some (ts, Ok vals) ->
-                   Obj
-                     [ ("ts", Int ts);
-                       ("values",
-                        List
-                          (List.map
-                             (fun (key, v) ->
-                               Obj [ ("key", Int key); ("value", Int v) ])
-                             vals)) ]) ]
-          end
-          else begin
-            Format.fprintf ppf
-              "store: %d shard(s), %d txns executed (%d cross-shard), %d \
-               shed, %d failed, %d requeued@."
-              shards r.Lvm_store.Workload.executed r.Lvm_store.Workload.cross
-              r.Lvm_store.Workload.shed r.Lvm_store.Workload.failed
-              r.Lvm_store.Workload.requeued;
-            if r.Lvm_store.Workload.reads > 0 then
-              Format.fprintf ppf "%d reads served (%s)@."
-                r.Lvm_store.Workload.reads
-                (match snap_readers with
-                | Some n -> Printf.sprintf "snapshot mode, %d readers" n
-                | None -> "worker mode");
-            if r.Lvm_store.Workload.moved > 0
-               || r.Lvm_store.Workload.dropped > 0
-               || r.Lvm_store.Workload.splits > 0
-               || r.Lvm_store.Workload.merges > 0 then
-              Format.fprintf ppf
-                "splits %d, merges %d, %d moved-key requeues, %d arrivals \
-                 dropped@."
-                r.Lvm_store.Workload.splits r.Lvm_store.Workload.merges
-                r.Lvm_store.Workload.moved r.Lvm_store.Workload.dropped;
-            Format.fprintf ppf "wall %d cycles, %.1f cycles/txn@."
-              r.Lvm_store.Workload.wall_cycles
-              r.Lvm_store.Workload.cycles_per_txn;
-            Array.iteri
-              (fun i (s : Lvm_store.Workload.shard_stat) ->
-                Format.fprintf ppf "  shard %d: %d txns, %d cpu cycles@." i
-                  s.txns s.cycles)
-              r.Lvm_store.Workload.per_shard;
-            match asof_probe with
-            | None -> ()
-            | Some (ts, Error e) ->
-              Format.fprintf ppf "as-of %d: %s@." ts e
-            | Some (ts, Ok vals) ->
-              Format.fprintf ppf "as-of %d:%t@." ts (fun ppf ->
-                  List.iter
-                    (fun (key, v) -> Format.fprintf ppf " %d=%d" key v)
-                    vals)
-          end);
+          report ~json ~kind:"store"
+            [ ("shards", Int shards); ("txns", Int txns);
+              ("cross_pct", Int cross); ("seed", Int seed);
+              ("group", Int group);
+              ("zipf", Float (Option.value zipf ~default:0.));
+              ("rate", Float rate);
+              ("executed", Int r.Lvm_store.Workload.executed);
+              ("reads", Int r.Lvm_store.Workload.reads);
+              ("read_mode", String read_mode_name);
+              ("cross", Int r.Lvm_store.Workload.cross);
+              ("shed", Int r.Lvm_store.Workload.shed);
+              ("failed", Int r.Lvm_store.Workload.failed);
+              ("requeued", Int r.Lvm_store.Workload.requeued);
+              ("moved", Int r.Lvm_store.Workload.moved);
+              ("dropped", Int r.Lvm_store.Workload.dropped);
+              ("splits", Int r.Lvm_store.Workload.splits);
+              ("merges", Int r.Lvm_store.Workload.merges);
+              ("wall_cycles", Int r.Lvm_store.Workload.wall_cycles);
+              ("cycles_per_txn", Float r.Lvm_store.Workload.cycles_per_txn);
+              ("per_shard",
+               List
+                 (Array.to_list
+                    (Array.mapi
+                       (fun i (s : Lvm_store.Workload.shard_stat) ->
+                         Obj
+                           [ ("shard", Int i); ("txns", Int s.txns);
+                             ("cycles", Int s.cycles) ])
+                       r.Lvm_store.Workload.per_shard)));
+              ("as_of", Option.fold ~none:Null ~some:as_of_probe as_of) ]);
       `Ok ()
     end
   in
@@ -957,7 +777,7 @@ let store_cmd =
              snapshots.")
     Term.(ret (const run $ shards $ txns $ cross $ writes $ seed $ group
           $ compute $ zipf $ split $ rate $ open_gap $ queue_cap
-          $ read_heavy $ snap_readers $ as_of $ json $ metrics_arg))
+          $ read_heavy $ snap_readers $ as_of $ json_arg $ metrics_arg))
 
 (* {1 fams} *)
 
@@ -977,12 +797,7 @@ let fams_cmd =
     Arg.(value & opt int 1
          & info [ "group" ] ~doc:"Snapshot-boundary group-commit batch.")
   in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload seed.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit one JSON object instead.")
-  in
+  let seed = seed_arg 7 in
   let run size snaps writes group seed json metrics =
     if size <= 0 || size mod 8 <> 0 then
       `Error (false, "--size must be a positive multiple of 8")
@@ -1015,29 +830,15 @@ let fams_cmd =
             done;
             check (Fams.flush f);
             let wall = Lvm_vm.Kernel.time k - t0 in
-            if json then begin
-              let open Lvm_tools.Output_stream.Envelope in
-              emit ~kind:"fams" ppf
-                [ ("size", Int size); ("snaps", Int snaps);
-                  ("writes", Int writes); ("group", Int group);
-                  ("seed", Int seed); ("wall_cycles", Int wall);
-                  ("cycles_per_snapshot",
-                   Float (float_of_int wall /. float_of_int snaps));
-                  ("spans", Int !spans); ("bytes", Int !bytes);
-                  ("forces", Int !forces) ]
-            end
-            else begin
-              Format.fprintf ppf
-                "fams: %d snapshot(s) of %d write(s) over %d bytes \
-                 (group %d)@."
-                snaps writes size group;
-              Format.fprintf ppf
-                "wall %d cycles, %.1f cycles/snapshot; %d span(s), %d \
-                 byte(s) persisted, %d force(s)@."
-                wall
-                (float_of_int wall /. float_of_int snaps)
-                !spans !bytes !forces
-            end)
+            let open Lvm_tools.Output_stream.Envelope in
+            report ~json ~kind:"fams"
+              [ ("size", Int size); ("snaps", Int snaps);
+                ("writes", Int writes); ("group", Int group);
+                ("seed", Int seed); ("wall_cycles", Int wall);
+                ("cycles_per_snapshot",
+                 Float (float_of_int wall /. float_of_int snaps));
+                ("spans", Int !spans); ("bytes", Int !bytes);
+                ("forces", Int !forces) ])
       with
       | () -> `Ok ()
       | exception Failed e -> `Error (false, Lvm.Lvm_error.to_string e)
@@ -1047,38 +848,10 @@ let fams_cmd =
     (Cmd.info "fams"
        ~doc:"Run a plain-write + snapshot workload through the \
              failure-atomic snapshot API and report persistence costs.")
-    Term.(ret (const run $ size $ snaps $ writes $ group $ seed $ json
+    Term.(ret (const run $ size $ snaps $ writes $ group $ seed $ json_arg
           $ metrics_arg))
 
 (* {1 repl} *)
-
-(* Seeded transport-fault profiles for the replication scenario. *)
-let repl_profile ~seed name =
-  let open Lvm_fault in
-  let inj site trigger fault = { Plan.site; trigger; fault } in
-  let frame = Fault.Net_frame and ack = Fault.Net_ack in
-  let injections =
-    match name with
-    | `None -> []
-    | `Drop ->
-      [ inj frame (Plan.With_probability 0.15) Fault.Net_drop;
-        inj ack (Plan.With_probability 0.10) Fault.Net_drop ]
-    | `Delay ->
-      [ inj frame (Plan.With_probability 0.15) (Fault.Net_delay { ticks = 3 });
-        inj frame (Plan.With_probability 0.08) Fault.Net_dup;
-        inj ack (Plan.With_probability 0.10) (Fault.Net_delay { ticks = 2 }) ]
-    | `Reorder ->
-      [ inj frame (Plan.With_probability 0.15) Fault.Net_reorder;
-        inj frame (Plan.With_probability 0.05) Fault.Net_dup;
-        inj ack (Plan.With_probability 0.08) Fault.Net_reorder ]
-    | `Chaos ->
-      [ inj frame (Plan.With_probability 0.08) Fault.Net_drop;
-        inj frame (Plan.With_probability 0.08) (Fault.Net_delay { ticks = 2 });
-        inj frame (Plan.With_probability 0.05) Fault.Net_dup;
-        inj frame (Plan.With_probability 0.05) Fault.Net_reorder;
-        inj ack (Plan.With_probability 0.08) Fault.Net_drop ]
-  in
-  if injections = [] then None else Some (Plan.create ~seed injections)
 
 let repl_cmd =
   let module Repl = Lvm_repl in
@@ -1090,20 +863,18 @@ let repl_cmd =
     Arg.(value & opt int 24
          & info [ "txns" ] ~doc:"Transactions committed on the primary.")
   in
-  let seed =
-    Arg.(value & opt int 42
-         & info [ "seed" ] ~doc:"Workload and fault-plan seed.")
-  in
+  let seed = seed_arg ~doc:"Workload and fault-plan seed." 42 in
   let profile =
     Arg.(value
          & opt
              (enum
-                [ ("none", `None); ("drop", `Drop); ("delay", `Delay);
-                  ("reorder", `Reorder); ("chaos", `Chaos) ])
-             `Chaos
+                [ ("none", None); ("drop", Some 0); ("delay", Some 1);
+                  ("reorder", Some 2); ("chaos", Some 3) ])
+             (Some 3)
          & info [ "profile" ] ~docv:"PROFILE"
-             ~doc:"Transport-fault profile: none, drop, delay, reorder \
-                   or chaos.")
+             ~doc:"Transport-fault profile: none, or the replication crash \
+                   sweep's drop, delay (+ duplicate), reorder or chaos \
+                   (everything at once) plan.")
   in
   let kill_at =
     Arg.(value & opt (some int) None
@@ -1117,170 +888,101 @@ let repl_cmd =
              ~doc:"Skip the failover: just replicate the workload and \
                    converge.")
   in
-  let sweep =
-    Arg.(value & flag
-         & info [ "sweep" ]
-             ~doc:"Run the seeded replication crash sweep instead of one \
-                   scenario (see also $(b,--kill-points), \
-                   $(b,--fault-only)).")
-  in
-  let kill_points =
-    Arg.(value & opt int 84
-         & info [ "kill-points" ]
-             ~doc:"Sweep schedules that fail-stop the primary mid-stream.")
-  in
-  let fault_only =
-    Arg.(value & opt int 16
-         & info [ "fault-only" ]
-             ~doc:"Sweep schedules that only stress the transport.")
-  in
-  let show_trace =
-    Arg.(value & flag
-         & info [ "trace" ]
-             ~doc:"Print the deterministic per-schedule sweep trace.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit one JSON object instead.")
-  in
-  let run_sweep ~seed ~txns ~kill_points ~fault_only ~replicas ~show_trace
-      ~json =
-    let o =
-      Lvm_tpc.Crash_sweep.run_repl ~seed ~txns ~kill_points ~fault_only
-        ~replicas ()
+  let run replicas txns seed profile kill_at no_kill json metrics =
+    let kill =
+      if no_kill then None else Some (Option.value kill_at ~default:(txns / 2))
     in
-    if json then begin
-      let open Lvm_tools.Output_stream.Envelope in
-      emit ~kind:"replsweep" ppf
-        [ ("seed", Int seed); ("txns", Int txns);
-          ("replicas", Int replicas);
-          ("points", Int o.Lvm_tpc.Crash_sweep.points);
-          ("failovers", Int o.Lvm_tpc.Crash_sweep.crashed);
-          ("fault_only", Int o.Lvm_tpc.Crash_sweep.completed);
-          ("resynced", Int o.Lvm_tpc.Crash_sweep.torn);
-          ("failures",
-           List
-             (List.map (fun f -> String f) o.Lvm_tpc.Crash_sweep.failures))
-        ]
-    end
-    else begin
-      Format.fprintf ppf
-        "repl sweep (%d replica%s): %d schedules (%d failovers, %d \
-         fault-only, %d resynced), %d failures@."
-        replicas
-        (if replicas = 1 then "" else "s")
-        o.Lvm_tpc.Crash_sweep.points o.Lvm_tpc.Crash_sweep.crashed
-        o.Lvm_tpc.Crash_sweep.completed o.Lvm_tpc.Crash_sweep.torn
-        (List.length o.Lvm_tpc.Crash_sweep.failures);
-      List.iter
-        (fun f -> Format.fprintf ppf "FAIL: %s@." f)
-        o.Lvm_tpc.Crash_sweep.failures
-    end;
-    if show_trace then Format.fprintf ppf "%s" o.Lvm_tpc.Crash_sweep.trace;
-    Format.pp_print_flush ppf ();
-    if o.Lvm_tpc.Crash_sweep.failures <> [] then exit 1
-  in
-  let run_scenario ~replicas ~txns ~seed ~profile ~kill_at ~no_kill ~json
-      ~metrics =
-    with_metrics ~label:"repl" metrics (fun () ->
-        let plan = repl_profile ~seed profile in
-        let cl = Repl.create ?plan { Repl.Config.default with replicas } in
-        let keys = Repl.keys cl in
-        let rng = Random.State.make [| seed |] in
-        let commit j =
-          let k1 = Random.State.int rng keys in
-          let k2 = Random.State.int rng keys in
-          match
-            Repl.exec cl
-              ~writes:[ (k1, (j * 100) + 1); (k2, (j * 100) + 2) ]
-          with
-          | Ok () -> Repl.step ~ticks:3 cl
-          | Error e -> failwith (Lvm.Lvm_error.to_string e)
-        in
-        let kill = if no_kill then None
-          else Some (match kill_at with Some k -> k | None -> txns / 2) in
-        let promo = ref None in
-        for j = 0 to txns - 1 do
-          commit j;
-          match kill with
-          | Some k when j = k ->
-            Repl.step ~ticks:2 cl;
-            Repl.kill_primary cl;
-            Repl.step ~ticks:4 cl;
-            promo := Some (Repl.promote cl)
-          | _ -> ()
-        done;
-        let converged = Repl.sync cl in
-        let s = Repl.stats cl in
-        if json then begin
-          let open Lvm_tools.Output_stream.Envelope in
-          let promo_fields =
-            match !promo with
-            | None -> [ ("failover", Obj [ ("killed", Int 0) ]) ]
-            | Some p ->
-              [ ("failover",
-                 Obj
-                   [ ("killed", Int 1);
-                     ("new_primary", Int p.Repl.new_primary);
-                     ("new_epoch", Int p.Repl.new_epoch);
-                     ("applied_bytes", Int p.Repl.applied_bytes);
-                     ("folded_bytes", Int p.Repl.folded_bytes);
-                     ("failover_ticks", Int p.Repl.failover_ticks) ]) ]
-          in
-          emit ~kind:"repl" ppf
-            ([ ("replicas", Int replicas); ("txns", Int txns);
-               ("seed", Int seed); ("converged", Int (Bool.to_int converged));
-               ("epoch", Int s.Repl.s_epoch);
-               ("stream_end", Int s.Repl.s_stream_end);
-               ("base", Int s.Repl.s_base);
-               ("min_acked", Int s.Repl.s_min_acked);
-               ("frames_sent", Int s.Repl.frames_sent);
-               ("frames_dropped", Int s.Repl.frames_dropped);
-               ("retransmits", Int s.Repl.retransmits);
-               ("resyncs", Int s.Repl.resyncs);
-               ("fenced", Int s.Repl.fenced) ]
-            @ promo_fields)
-        end
-        else begin
-          Format.fprintf ppf "repl: %d replica(s), %d txns, seed %d@."
-            replicas txns seed;
-          (match !promo with
-          | None -> ()
-          | Some p ->
-            Format.fprintf ppf "failover: %s@." (Repl.promotion_to_string p));
-          Format.fprintf ppf "%s@." (Repl.stats_to_string s);
-          Format.fprintf ppf "converged: %b@." converged
-        end;
-        Format.pp_print_flush ppf ();
-        if not converged then exit 1)
-  in
-  let run replicas txns seed profile kill_at no_kill sweep kill_points
-      fault_only show_trace json metrics =
     if replicas <= 0 then `Error (false, "--replicas must be positive")
     else if txns <= 0 then `Error (false, "--txns must be positive")
-    else if sweep then begin
-      if kill_points < 0 || fault_only < 0 || kill_points + fault_only = 0
-      then `Error (false, "--kill-points/--fault-only must cover >= 1 \
-                           schedule")
-      else begin
-        run_sweep ~seed ~txns ~kill_points ~fault_only ~replicas ~show_trace
-          ~json;
-        `Ok ()
-      end
-    end
+    else if (match kill with Some k -> k < 0 || k >= txns | None -> false) then
+      `Error (false, "--kill-at must name one of the --txns transactions")
     else begin
-      run_scenario ~replicas ~txns ~seed ~profile ~kill_at ~no_kill ~json
-        ~metrics;
+      with_metrics ~label:"repl" metrics (fun () ->
+          let plan =
+            Option.map (Lvm_tpc.Crash_sweep.repl_net_plan ~seed) profile
+          in
+          let cl = Repl.create ?plan { Repl.Config.default with replicas } in
+          let keys = Repl.keys cl in
+          let rng = Random.State.make [| seed |] in
+          let commit j =
+            let k1 = Random.State.int rng keys in
+            let k2 = Random.State.int rng keys in
+            match
+              Repl.exec cl
+                ~writes:[ (k1, (j * 100) + 1); (k2, (j * 100) + 2) ]
+            with
+            | Ok () -> Repl.step ~ticks:3 cl
+            | Error e -> failwith (Lvm.Lvm_error.to_string e)
+          in
+          let promo = ref None in
+          for j = 0 to txns - 1 do
+            commit j;
+            if Some j = kill then begin
+              Repl.step ~ticks:2 cl;
+              Repl.kill_primary cl;
+              Repl.step ~ticks:4 cl;
+              promo := Some (Repl.promote cl)
+            end
+          done;
+          let converged = Repl.sync cl in
+          let s = Repl.stats cl in
+          let open Lvm_tools.Output_stream.Envelope in
+          let failover =
+            match !promo with
+            | None -> Obj [ ("killed", Int 0) ]
+            | Some p ->
+              Obj
+                [ ("killed", Int 1);
+                  ("new_primary", Int p.Repl.new_primary);
+                  ("new_epoch", Int p.Repl.new_epoch);
+                  ("applied_bytes", Int p.Repl.applied_bytes);
+                  ("folded_bytes", Int p.Repl.folded_bytes);
+                  ("failover_ticks", Int p.Repl.failover_ticks) ]
+          in
+          let replica (r : Repl.replica_stat) =
+            Obj
+              [ ("id", Int r.rid); ("alive", Bool r.alive);
+                ("connected", Bool r.connected); ("attached", Bool r.attached);
+                ("applied", Int r.applied); ("acked", Int r.acked);
+                ("lag", Int r.lag) ]
+          in
+          report ~json ~kind:"repl"
+            [ ("replicas", Int replicas); ("txns", Int txns);
+              ("seed", Int seed); ("converged", Int (Bool.to_int converged));
+              ("epoch", Int s.Repl.s_epoch);
+              ("stream_end", Int s.Repl.s_stream_end);
+              ("base", Int s.Repl.s_base);
+              ("min_acked", Int s.Repl.s_min_acked);
+              ("frames_sent", Int s.Repl.frames_sent);
+              ("frames_dropped", Int s.Repl.frames_dropped);
+              ("retransmits", Int s.Repl.retransmits);
+              ("resyncs", Int s.Repl.resyncs);
+              ("fenced", Int s.Repl.fenced);
+              ("failover", failover);
+              ("now", Int s.Repl.s_now);
+              ("primary", String s.Repl.s_primary);
+              ("frames_delivered", Int s.Repl.frames_delivered);
+              ("frames_delayed", Int s.Repl.frames_delayed);
+              ("frames_duped", Int s.Repl.frames_duped);
+              ("frames_reordered", Int s.Repl.frames_reordered);
+              ("acks", Int s.Repl.acks);
+              ("heartbeats", Int s.Repl.heartbeats);
+              ("hellos", Int s.Repl.hellos);
+              ("disconnects", Int s.Repl.disconnects);
+              ("detaches", Int s.Repl.detaches);
+              ("promotions", Int s.Repl.promotions);
+              ("standbys",
+               List (Array.to_list (Array.map replica s.Repl.s_replicas))) ];
+          if not converged then exit 1);
       `Ok ()
     end
   in
   Cmd.v
     (Cmd.info "repl"
        ~doc:"Replicate a transactional workload to hot standbys over a \
-             faulty transport, optionally failing over mid-stream; \
-             $(b,--sweep) runs the seeded failover crash sweep.")
+             faulty transport, optionally failing over mid-stream.")
     Term.(ret (const run $ replicas $ txns $ seed $ profile $ kill_at
-          $ no_kill $ sweep $ kill_points $ fault_only $ show_trace $ json
-          $ metrics_arg))
+          $ no_kill $ json_arg $ metrics_arg))
 
 let main =
   Cmd.group

@@ -13,25 +13,21 @@ let seed = 23
 let population = 16
 let locality_pct = 90
 
+let app ~objects ~object_words =
+  Phold.app ~objects ~object_words ~locality_pct ~seed ~compute:300 ()
+
 let engine ~objects ~object_words ~n_schedulers ~strategy =
-  let app =
-    Phold.app ~objects ~object_words ~locality_pct ~seed ~compute:300 ()
-  in
+  let app = app ~objects ~object_words in
   let e = Timewarp.create ~n_schedulers ~strategy ~app () in
   Phold.inject_population e ~objects ~population ~seed;
   e
 
 let conservative_engine ~objects ~object_words ~n_schedulers =
-  let app =
-    Phold.app ~objects ~object_words ~locality_pct ~seed ~compute:300 ()
-  in
+  let app = app ~objects ~object_words in
   let e = Conservative.create ~n_schedulers ~app () in
-  (* replicate Phold.inject_population for the conservative engine *)
-  for i = 0 to population - 1 do
-    let h = Phold.hash seed i 17 23 in
-    Conservative.inject e ~time:(1 + (h mod 10)) ~dst:(h / 16 mod objects)
-      ~payload:(h land 0xFFFF)
-  done;
+  List.iter
+    (fun (time, dst, payload) -> Conservative.inject e ~time ~dst ~payload)
+    (Phold.population ~objects ~population ~seed);
   e
 
 let measure ?(objects = 24) ?(object_words = 512) ?(end_time = 600)

@@ -716,11 +716,6 @@ type promotion = {
   failover_ticks : int;  (** ticks from the kill to serving *)
 }
 
-let promotion_to_string p =
-  Printf.sprintf
-    "promoted=%d epoch=%d applied=%d folded=%d failover_ticks=%d"
-    p.new_primary p.new_epoch p.applied_bytes p.folded_bytes p.failover_ticks
-
 let promote t =
   if t.primary <> None then
     Error.raise_
@@ -883,27 +878,3 @@ let stats t =
     heartbeats = v t.c_heartbeats; hellos = v t.c_hellos;
     resyncs = v t.c_resyncs; disconnects = v t.c_disconnects;
     detaches = v t.c_detaches; promotions = v t.c_promotions }
-
-let stats_to_string s =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "epoch=%d now=%d primary=%s stream_end=%d base=%d min_acked=%d\n"
-    s.s_epoch s.s_now s.s_primary s.s_stream_end s.s_base s.s_min_acked;
-  Array.iter
-    (fun r ->
-      Printf.bprintf b
-        "  replica %d: alive=%b connected=%b attached=%b applied=%d \
-         acked=%d lag=%d\n"
-        r.rid r.alive r.connected r.attached r.applied r.acked r.lag)
-    s.s_replicas;
-  Printf.bprintf b
-    "  frames: sent=%d delivered=%d dropped=%d delayed=%d duped=%d \
-     reordered=%d retransmits=%d fenced=%d\n"
-    s.frames_sent s.frames_delivered s.frames_dropped s.frames_delayed
-    s.frames_duped s.frames_reordered s.retransmits s.fenced;
-  Printf.bprintf b
-    "  control: acks=%d heartbeats=%d hellos=%d resyncs=%d disconnects=%d \
-     detaches=%d promotions=%d\n"
-    s.acks s.heartbeats s.hellos s.resyncs s.disconnects s.detaches
-    s.promotions;
-  Buffer.contents b

@@ -164,8 +164,6 @@ val promote : t -> promotion
     start fresh peer state for the remaining standbys. Raises if the
     primary is still alive or no live standby exists. *)
 
-val promotion_to_string : promotion -> string
-
 (** {1 Watermarks}
 
     Logical (cumulative) stream offsets, for harnesses and tests. *)
@@ -222,4 +220,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val stats_to_string : stats -> string

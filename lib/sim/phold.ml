@@ -47,11 +47,12 @@ let app ?(object_words = 8) ?(max_delay = 20) ?(compute = 200)
         ctx.Scheduler.send ~dst ~delay ~payload:payload')
   }
 
-let inject_population engine ~objects ~population ~seed =
-  for i = 0 to population - 1 do
-    let h = hash seed i 17 23 in
-    Timewarp.inject engine
-      ~time:(1 + (h mod 10))
-      ~dst:(h / 16 mod objects)
-      ~payload:(h land 0xFFFF)
-  done
+let population ~objects ~population ~seed =
+  List.init population (fun i ->
+      let h = hash seed i 17 23 in
+      (1 + (h mod 10), h / 16 mod objects, h land 0xFFFF))
+
+let inject_population engine ~objects ~population:n ~seed =
+  List.iter
+    (fun (time, dst, payload) -> Timewarp.inject engine ~time ~dst ~payload)
+    (population ~objects ~population:n ~seed)

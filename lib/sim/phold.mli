@@ -15,9 +15,14 @@ val app :
     events an object sends to itself (default 0, fully uniform — higher
     locality means fewer cross-scheduler stragglers). *)
 
+val population :
+  objects:int -> population:int -> seed:int -> (int * int * int) list
+(** The [population] initial token events as [(time, dst, payload)],
+    for any engine ({!Timewarp.inject}, {!Conservative.inject}). *)
+
 val inject_population :
   Timewarp.t -> objects:int -> population:int -> seed:int -> unit
-(** Seed the engine with [population] initial token events. *)
+(** Inject {!population} into a TimeWarp engine. *)
 
 val hash : int -> int -> int -> int -> int
 (** The content hash used for all PHOLD randomness (30-bit result). *)

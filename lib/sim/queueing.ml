@@ -58,14 +58,15 @@ let app ~stations ~seed =
         end);
   }
 
+let arrivals ~stations ~customers ~seed =
+  List.init customers (fun c ->
+      let h = Phold.hash seed c 3 5 in
+      (1 + (h mod 8), h / 8 mod stations, payload ~kind:arrival ~customer:c))
+
 let inject_customers engine ~stations ~customers ~seed =
-  for c = 0 to customers - 1 do
-    let h = Phold.hash seed c 3 5 in
-    Timewarp.inject engine
-      ~time:(1 + (h mod 8))
-      ~dst:(h / 8 mod stations)
-      ~payload:(payload ~kind:arrival ~customer:c)
-  done
+  List.iter
+    (fun (time, dst, payload) -> Timewarp.inject engine ~time ~dst ~payload)
+    (arrivals ~stations ~customers ~seed)
 
 let sum_word engine ~stations ~word =
   let total = ref 0 in

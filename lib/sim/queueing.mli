@@ -16,8 +16,14 @@
 
 val app : stations:int -> seed:int -> Scheduler.app
 
+val arrivals :
+  stations:int -> customers:int -> seed:int -> (int * int * int) list
+(** Each customer's first arrival as [(time, dst, payload)], for any
+    engine ({!Timewarp.inject}, {!Conservative.inject}). *)
+
 val inject_customers : Timewarp.t -> stations:int -> customers:int ->
   seed:int -> unit
+(** Inject {!arrivals} into a TimeWarp engine. *)
 
 (** State-word indices for result inspection. *)
 

@@ -132,4 +132,16 @@ module Envelope = struct
 
   let emit ~kind ppf fields =
     Format.fprintf ppf "%s@." (render ~kind fields)
+
+  let print ppf fields =
+    let rec line prefix (name, v) =
+      match v with
+      | Obj fields -> List.iter (line (prefix ^ name ^ ".")) fields
+      | String s -> Format.fprintf ppf "%s%s %s@." prefix name s
+      | v ->
+        let b = Buffer.create 16 in
+        write b v;
+        Format.fprintf ppf "%s%s %s@." prefix name (Buffer.contents b)
+    in
+    List.iter (line "") fields
 end

@@ -36,11 +36,13 @@ val mirror_word : t -> off:int -> int
 (** {1 The tool-output envelope}
 
     Every JSON document the command-line tools emit ([lvmctl --metrics],
-    [logstats --json], [crashsweep --json], [store --json], the
-    [BENCH_*.json] blobs) is wrapped in one versioned envelope so
-    downstream tooling parses a single shape:
+    the [--json] reports of [crashsweep], [logstats], [store], [fams]
+    and [repl], the [BENCH_*.json] blobs) is wrapped in one versioned
+    envelope so downstream tooling parses a single shape:
 
-    {v {"schema_version": 1, "kind": "<kind>", ...fields} v} *)
+    {v {"schema_version": 1, "kind": "<kind>", ...fields} v}
+
+    Without [--json] the same field list is rendered by {!print}. *)
 module Envelope : sig
   val schema_version : int
   (** Currently [1]; bumped on any incompatible field change. *)
@@ -63,4 +65,9 @@ module Envelope : sig
 
   val emit : kind:string -> Format.formatter -> (string * json) list -> unit
   (** [render] followed by a newline on the formatter. *)
+
+  val print : Format.formatter -> (string * json) list -> unit
+  (** Human rendering of the same fields: one [name value] line per
+      field. Nested objects flatten to dotted names ([log.extents 4]),
+      strings print bare, every other value as its JSON text. *)
 end

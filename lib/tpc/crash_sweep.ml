@@ -4,7 +4,7 @@ open Lvm_vm
    labelled schedules; [sweep] runs each and folds the per-schedule
    results into an [outcome]. Four subjects (TPC-A over RLVM, the
    sharded store, FAMS snapshots, the shard-move protocol) are machine
-   fault plans run by [run_plan] over a [subject] record; replication
+   fault plans run by [run_plan] over a [plan_subject] record; replication
    has its own kill/promote body but shares the fold.
 
    Every plan subject checks the same contract against a host-side
@@ -52,7 +52,7 @@ let sweep ~header ~run schedules =
 (* A subject under machine fault plans. ['s] is one fresh machine plus
    its host-side model; ['image] is the recovered state compared across
    the two recoveries. *)
-type ('s, 'image) subject = {
+type ('s, 'image) plan_subject = {
   build : unit -> 's;
   kernel : 's -> Kernel.t;
   clock : Kernel.t -> int; (* reference-run length: time or max_time *)
@@ -944,3 +944,34 @@ let run_split ?(seed = 11) ?(points = 90) ?(torn_points = 8)
       Printf.sprintf "splitsweep seed=%d total_cycles=%d shards=%d\n" seed
         total shards)
     ()
+
+(* {1 The CI table}
+
+   Every subject at its CI size. Under group commit the torn bytes land
+   in the volatile WAL tail and are dropped wholesale before the scan;
+   replication's schedules are transport plans, not WAL tears — neither
+   must see a torn tail. *)
+
+type subject = { name : string; run : unit -> outcome; torn_required : bool }
+
+let subjects =
+  let s name torn_required run = { name; run; torn_required } in
+  [ s "tpca" true (fun () -> run ~points:200 ~txns:12 ());
+    s "tpca-4cpu" true (fun () -> run ~points:60 ~txns:12 ~cpus:4 ());
+    s "tpca-group4" false (fun () -> run ~points:60 ~txns:12 ~group:4 ());
+    s "store" true (fun () -> run ~shards:4 ());
+    s "fams" true (fun () -> run_fams ());
+    s "split" true (fun () ->
+        run_split ~points:90 ~torn_points:8 ~cutover_points:2 ());
+    s "repl" false (fun () -> run_repl ~kill_points:84 ~fault_only:16 ()) ]
+
+let check s =
+  let o = s.run () in
+  let flag cond problem = if cond then [ problem ] else [] in
+  let problems =
+    o.failures
+    @ flag (o.crashed = 0) "no injected fault fired"
+    @ flag (s.torn_required && o.torn = 0) "no torn tail was ever detected"
+    @ flag ((s.run ()).trace <> o.trace) "two runs produced different traces"
+  in
+  (o, problems)

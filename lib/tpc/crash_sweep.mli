@@ -20,8 +20,9 @@
     fold (see docs/FAULTS.md).
 
     Everything is seeded: two sweeps with the same parameters produce
-    byte-identical {!outcome.trace} strings, which the [@crash] CI alias
-    checks for every subject. *)
+    byte-identical {!outcome.trace} strings, which {!check} verifies for
+    every entry of {!subjects} ([lvmctl crashsweep], the [@crash] CI
+    alias). *)
 
 type outcome = {
   points : int;  (** Total runs (crash points + torn-write points). *)
@@ -136,3 +137,26 @@ val run_split :
 
     Deterministic: same parameters, byte-identical [trace]. With the
     defaults the sweep runs 100 seeded schedules. *)
+
+val repl_net_plan : seed:int -> int -> Lvm_fault.Plan.t
+(** Schedule [i]'s transport-fault plan in {!run_repl}: [i mod 4] picks
+    drop-heavy (0), delay + duplicate (1), reorder-heavy (2) or
+    everything at once (3); probabilities rotate with [i] and the PRNG
+    seed is [seed * 1000 + i]. *)
+
+(** {1 The CI table} *)
+
+type subject = {
+  name : string;
+  run : unit -> outcome;  (** One sweep at the subject's CI size. *)
+  torn_required : bool;  (** Must the sweep detect a torn tail? *)
+}
+
+val subjects : subject list
+(** Every sweep at its CI size ([tpca], [tpca-4cpu], [tpca-group4],
+    [store], [fams], [split], [repl]). Adding a subject is one row. *)
+
+val check : subject -> outcome * string list
+(** Run the subject twice; return the first outcome and its problems:
+    its [failures], no fault fired, no torn tail where one is required,
+    differing traces. An empty list is a pass. *)

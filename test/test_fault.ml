@@ -637,6 +637,38 @@ let test_golden_traces () =
         (Digest.to_hex (Digest.string o.trace)))
     golden
 
+(* The CI table's check, fed stub subjects with canned outcomes. *)
+let test_sweep_check () =
+  let module C = Lvm_tpc.Crash_sweep in
+  let clean =
+    { C.points = 4; crashed = 3; completed = 1; torn = 1; failures = [];
+      trace = "t\n" }
+  in
+  (* [first] on the first run, [clean] on the second *)
+  let problems ?(torn_required = true) name expected first =
+    let runs = ref [ first; clean ] in
+    let run () =
+      match !runs with
+      | o :: rest -> runs := rest; o
+      | [] -> Alcotest.fail "check ran the sweep more than twice"
+    in
+    Alcotest.(check (list string)) name expected
+      (snd (C.check { C.name = "stub"; run; torn_required }))
+  in
+  problems "clean subject passes" [] clean;
+  problems "failures reported" [ "point=1: boom" ]
+    { clean with failures = [ "point=1: boom" ] };
+  problems "no fault fired" [ "no injected fault fired" ]
+    { clean with crashed = 0 };
+  problems "missing torn tail" [ "no torn tail was ever detected" ]
+    { clean with torn = 0 };
+  problems ~torn_required:false "torn tail optional" [] { clean with torn = 0 };
+  problems "differing traces" [ "two runs produced different traces" ]
+    { clean with trace = "u\n" };
+  let names = List.map (fun (s : C.subject) -> s.name) C.subjects in
+  check "subject names unique" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
 let suites =
   [
     ( "fault.plan",
@@ -692,5 +724,6 @@ let suites =
           test_forced_fifo_overrun;
       ] );
     ( "fault.sweep",
-      [ Alcotest.test_case "golden traces" `Quick test_golden_traces ] );
+      [ Alcotest.test_case "golden traces" `Quick test_golden_traces;
+        Alcotest.test_case "CI table check" `Quick test_sweep_check ] );
   ]

@@ -5,7 +5,6 @@ module Plan = Lvm_fault.Plan
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_str = Alcotest.(check string)
 
 let cfg ?(replicas = 2) ?obs () =
   { Repl.Config.default with replicas; obs }
@@ -296,9 +295,9 @@ let test_deterministic_runs () =
     let model = Array.make (Repl.keys cl) 0 in
     run_txns cl ~model 8;
     ignore (Repl.sync cl);
-    Repl.stats_to_string (Repl.stats cl)
+    Repl.stats cl
   in
-  check_str "same seed, byte-identical run" (drive ()) (drive ())
+  check_bool "same seed, identical run" true (drive () = drive ())
 
 let test_sweep_smoke () =
   let o = Lvm_tpc.Crash_sweep.run_repl ~txns:6 ~kill_points:8 ~fault_only:2 ()

@@ -334,13 +334,11 @@ let test_conservative_equals_optimistic () =
   let opt =
     Timewarp.create ~n_schedulers:3 ~strategy:State_saving.Lvm_based ~app ()
   in
-  for i = 0 to 5 do
-    let h = Phold.hash 13 i 17 23 in
-    let time = 1 + (h mod 10) and dst = h / 16 mod 10
-    and payload = h land 0xFFFF in
-    Conservative.inject cons ~time ~dst ~payload;
-    Timewarp.inject opt ~time ~dst ~payload
-  done;
+  List.iter
+    (fun (time, dst, payload) ->
+      Conservative.inject cons ~time ~dst ~payload;
+      Timewarp.inject opt ~time ~dst ~payload)
+    (Phold.population ~objects:10 ~population:6 ~seed:13);
   let rc = Conservative.run cons ~end_time:200 in
   let ro = Timewarp.run opt ~end_time:200 in
   Alcotest.(check (array int)) "conservative == optimistic"
@@ -366,13 +364,11 @@ let test_optimism_beats_conservative_when_imbalanced () =
   let opt =
     Timewarp.create ~n_schedulers:4 ~strategy:State_saving.Lvm_based ~app ()
   in
-  for i = 0 to 7 do
-    let h = Phold.hash 31 i 17 23 in
-    let time = 1 + (h mod 10) and dst = h / 16 mod 12
-    and payload = h land 0xFFFF in
-    Conservative.inject cons ~time ~dst ~payload;
-    Timewarp.inject opt ~time ~dst ~payload
-  done;
+  List.iter
+    (fun (time, dst, payload) ->
+      Conservative.inject cons ~time ~dst ~payload;
+      Timewarp.inject opt ~time ~dst ~payload)
+    (Phold.population ~objects:12 ~population:8 ~seed:31);
   let rc = Conservative.run cons ~end_time:400 in
   let ro = Timewarp.run opt ~end_time:400 in
   Alcotest.(check (array int)) "same results"
