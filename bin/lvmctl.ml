@@ -48,9 +48,6 @@ let report ~json ~kind fields =
 
 (* {1 experiments} *)
 
-let quick_arg =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sweeps for a fast run.")
-
 let list_cmd =
   let run () =
     List.iter
@@ -81,13 +78,13 @@ let exp_cmd =
              ~doc:"Write the experiment's JSON record (the committed \
                    $(b,BENCH_)$(i,n)$(b,.json) file) to $(docv).")
   in
-  let run id quick metrics json =
+  let run id metrics json =
     match Lvm_experiments.Experiments.find id with
     | None -> `Error (false, "unknown experiment " ^ id)
     | Some e -> (
       let outcome =
         with_metrics ~label:id metrics (fun () ->
-            e.Lvm_experiments.Experiments.run ~quick ppf)
+            e.Lvm_experiments.Experiments.run ppf)
       in
       match (json, outcome.Lvm_experiments.Report.blob) with
       | Some _, None -> `Error (false, id ^ " records no JSON")
@@ -102,18 +99,18 @@ let exp_cmd =
   Cmd.v
     (Cmd.info "exp"
        ~doc:"Run one experiment; exits 1 if it misses a target.")
-    Term.(ret (const run $ id_arg $ quick_arg $ metrics_arg $ record_arg))
+    Term.(ret (const run $ id_arg $ metrics_arg $ record_arg))
 
 let all_cmd =
-  let run quick metrics =
+  let run metrics =
     check_targets
       (with_metrics ~label:"all" metrics (fun () ->
-           Lvm_experiments.Experiments.run_all ~quick ppf))
+           Lvm_experiments.Experiments.run_all ppf))
   in
   Cmd.v
     (Cmd.info "all"
        ~doc:"Run every experiment; exits 1 if any misses a target.")
-    Term.(ret (const run $ quick_arg $ metrics_arg))
+    Term.(ret (const run $ metrics_arg))
 
 (* {1 sim} *)
 
@@ -669,7 +666,10 @@ let store_cmd =
     else if txns <= 0 then `Error (false, "--txns must be positive")
     else if cross < 0 || cross > 100 then
       `Error (false, "--cross must be a percentage")
+    else if group <= 0 then `Error (false, "--group must be positive")
     else if rate < 0. then `Error (false, "--rate must be non-negative")
+    else if queue_cap <> None && open_gap = None then
+      `Error (false, "--queue-cap needs --open")
     else if (match snap_readers with Some n -> n <= 0 | None -> false) then
       `Error (false, "--snapshot-readers must be positive")
     else begin

@@ -65,17 +65,14 @@ let one_cycle ~pages ~dirty =
     ppc_restore_cycles;
   }
 
-let measure ?(pages = 32) ?(dirty_counts = [ 1; 2; 4; 8; 16; 32 ]) () =
-  List.map (fun dirty -> one_cycle ~pages ~dirty) dirty_counts
+let measure () =
+  List.map (fun dirty -> one_cycle ~pages:32 ~dirty) [ 1; 2; 4; 8; 16; 32 ]
 
-let run ~quick ppf =
+let run ppf =
   Report.section ppf
     "Ablation E: Rollback Primitives (bcopy vs deferred copy vs \
      page-protect)";
-  let points =
-    measure ~dirty_counts:(if quick then [ 1; 8; 32 ] else
-                             [ 1; 2; 4; 8; 16; 32 ]) ()
-  in
+  let points = measure () in
   Report.table ppf
     ~header:
       [ "dirty pages (of 32)"; "bcopy restore"; "dc mutate"; "dc restore";
@@ -96,4 +93,31 @@ let run ~quick ppf =
      whole-page copies per first write) and restores by remapping; \
      deferred copy keeps the mutator free and pays a per-dirty-page sweep \
      at rollback; bcopy is flat and loses except when nearly everything \
-     is dirty (Figure 9)."
+     is dirty (Figure 9).";
+  let at dirty = List.find (fun p -> p.dirty_pages = dirty) points in
+  let one = at 1 and all = at 32 in
+  Report.claims
+    [
+      ( one.bcopy_cycles = all.bcopy_cycles,
+        Printf.sprintf "bcopy independent of dirty pages (measured %d vs %d)"
+          one.bcopy_cycles all.bcopy_cycles );
+      ( all.dc_restore_cycles > 16 * one.dc_restore_cycles,
+        Printf.sprintf
+          "deferred-copy restore grows > 16x from 1 to 32 dirty (measured %d \
+           -> %d)" one.dc_restore_cycles all.dc_restore_cycles );
+      ( one.dc_restore_cycles < one.bcopy_cycles,
+        Printf.sprintf
+          "deferred copy beats bcopy at 1 dirty page (measured %d vs %d)"
+          one.dc_restore_cycles one.bcopy_cycles );
+      ( all.dc_restore_cycles > all.bcopy_cycles,
+        Printf.sprintf
+          "bcopy beats deferred copy at 32 dirty pages (measured %d vs %d)"
+          all.bcopy_cycles all.dc_restore_cycles );
+      ( all.ppc_restore_cycles < 2000,
+        Printf.sprintf "li/appel restore < 2000 cycles (measured %d)"
+          all.ppc_restore_cycles );
+      ( one.ppc_mutate_cycles > 100 * one.dc_mutate_cycles,
+        Printf.sprintf
+          "li/appel mutator pays > 100x deferred copy's (measured %d vs %d)"
+          one.ppc_mutate_cycles one.dc_mutate_cycles );
+    ]

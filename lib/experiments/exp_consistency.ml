@@ -46,12 +46,13 @@ let one_pattern ~segment_kb ~writes ~spread_pages =
     log_words = log.Shared_segment.words_sent;
   }
 
-let measure ?(segment_kb = 32) () =
+let measure () =
   List.map
-    (fun (writes, spread_pages) -> one_pattern ~segment_kb ~writes ~spread_pages)
+    (fun (writes, spread_pages) ->
+      one_pattern ~segment_kb:32 ~writes ~spread_pages)
     patterns
 
-let run ~quick:_ ppf =
+let run ppf =
   Report.section ppf
     "Ablation C: Log-based Consistency vs Munin Twin/Diff (Section 2.6)";
   let rows = measure () in
@@ -77,4 +78,17 @@ let run ~quick:_ ppf =
      (it can even send fewer words when a location is overwritten \
      repeatedly, the tradeoff Section 2.6 notes). The snooped variant \
      (consistency from the logging bus traffic alone) makes release \
-     almost free."
+     almost free.";
+  let sparse = List.hd rows and dense = List.nth rows (List.length rows - 1) in
+  let ratio r = float_of_int r.log_release /. float_of_int r.twin_release in
+  Report.claims
+    [
+      ( sparse.log_release * 4 < sparse.twin_release,
+        Printf.sprintf
+          "log-based release < 1/4 of twin/diff when sparse (measured %d vs \
+           %d)" sparse.log_release sparse.twin_release );
+      ( ratio dense > ratio sparse,
+        Printf.sprintf
+          "log/twin release ratio higher dense than sparse (measured %.2f vs \
+           %.2f)" (ratio dense) (ratio sparse) );
+    ]

@@ -6,19 +6,10 @@
     fault, a page copy and a whole-page word-by-word comparison per
     touched page; log-based consistency streams exactly the logged
     updates. The paper expects log-based to win when updates are small
-    relative to the consistency unit. *)
+    relative to the consistency unit.
 
-type row = {
-  writes : int;
-  spread_pages : int;
-  twin_release : int;
-  log_release : int;
-  snoop_release : int;
-      (** Release cycles when a hardware snoop on the logging bus keeps
-          the replica coherent (Section 2.6's on-chip variant). *)
-  twin_words : int;
-  log_words : int;
-}
+    Target: for one write to one page, log-based release costs under a
+    quarter of twin/diff's, and the log/twin release ratio is higher in the
+    densest pattern (1024 writes over 4 pages) than there. *)
 
-val measure : ?segment_kb:int -> unit -> row list
-val run : quick:bool -> Format.formatter -> unit
+val run : Format.formatter -> Report.outcome

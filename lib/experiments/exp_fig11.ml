@@ -8,10 +8,12 @@ type point = {
 
 (* fine steps around the overload threshold (~27), then the paper's
    sweep up to 630 *)
-let default_cs =
+let cs =
   [ 0; 5; 10; 15; 20; 24; 27; 30 ] @ List.init 10 (fun i -> 60 * (i + 1))
 
-let measure ?(iterations = 20_000) ?(cs = default_cs) () =
+let iterations = 20_000
+
+let measure () =
   List.map
     (fun c ->
       let logged = Writes_loop.run ~iterations ~c ~unlogged:0 ~logged:1 () in
@@ -37,13 +39,8 @@ let overload_threshold_c points =
     (fun p -> if p.overloads_per_1000 = 0. then Some p.c else None)
     (List.sort (fun a b -> compare a.c b.c) points)
 
-let run ~quick ppf =
-  let points =
-    measure
-      ~iterations:(if quick then 4000 else 20_000)
-      ~cs:(if quick then [ 0; 30; 90; 210; 330; 630 ] else default_cs)
-      ()
-  in
+let run ppf =
+  let points = measure () in
   Report.section ppf "Figure 11: Total Cost of a Logged Write";
   Report.table ppf
     ~header:
@@ -68,10 +65,30 @@ let run ~quick ppf =
     (List.map
        (fun p -> [ Report.fi p.c; Report.ff p.overloads_per_1000 ])
        points);
-  match overload_threshold_c points with
+  (match overload_threshold_c points with
   | Some c ->
     Format.fprintf ppf
       "overload avoided from c = %d compute cycles per logged write \
        (paper: ~27)@."
       c
-  | None -> Format.fprintf ppf "overload present across the whole sweep@."
+  | None -> Format.fprintf ppf "overload present across the whole sweep@.");
+  let at c = List.find (fun p -> p.c = c) points in
+  let p0 = at 0 and p27 = at 27 and p60 = at 60 in
+  Report.claims
+    [
+      (p0.overloads_per_1000 > 0., "logger overloads at c=0");
+      ( p27.overloads_per_1000 = 0.,
+        Printf.sprintf "no overloads at c=27 (measured %.2f per 1000)"
+          p27.overloads_per_1000 );
+      ( p0.overload_cost > 30_000.,
+        Printf.sprintf "overload penalty at c=0 > 30000 cycles (measured %.0f)"
+          p0.overload_cost );
+      ( p0.logged_per_iter > p27.logged_per_iter,
+        Printf.sprintf
+          "iteration cost falls from c=0 to c=27 (measured %.1f -> %.1f)"
+          p0.logged_per_iter p27.logged_per_iter );
+      ( p60.logged_per_iter -. p60.unlogged_per_iter < 10.,
+        Printf.sprintf
+          "logging adds < 10 cycles per iteration at c=60 (measured %.2f)"
+          (p60.logged_per_iter -. p60.unlogged_per_iter) );
+    ]

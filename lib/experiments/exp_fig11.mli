@@ -6,19 +6,11 @@
     iterations. The paper reports each overload costs more than 30,000
     cycles — so the time per iteration {e decreases} as computation per
     loop increases — and that overload is avoided once there is no more
-    than one logged write per ~27 compute cycles on average. *)
+    than one logged write per ~27 compute cycles on average.
 
-type point = {
-  c : int;
-  logged_per_iter : float;
-  unlogged_per_iter : float;
-  overloads_per_1000 : float;
-  overload_cost : float;  (** Mean cycles per overload event, 0 if none. *)
-}
+    Target: at c = 0 the logger overloads, each overload costing more
+    than 30,000 cycles, and an iteration costs more than at c = 27, where
+    no overload occurs; at c = 60 logging adds under 10 cycles per
+    iteration. *)
 
-val measure : ?iterations:int -> ?cs:int list -> unit -> point list
-
-val overload_threshold_c : point list -> int option
-(** Smallest measured [c] with no overloads. *)
-
-val run : quick:bool -> Format.formatter -> unit
+val run : Format.formatter -> Report.outcome

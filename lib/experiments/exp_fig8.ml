@@ -4,9 +4,10 @@ type point = { fraction : float; w : int; speedup : float }
 type curve = { s : int; c : int; points : point list }
 
 let curves_spec = [ (32, 256); (64, 512); (128, 1024); (256, 2048) ]
-let default_fractions = [ 0.125; 0.25; 0.375; 0.5; 0.625; 0.75; 0.875; 1.0 ]
+let fractions = [ 0.125; 0.25; 0.375; 0.5; 0.625; 0.75; 0.875; 1.0 ]
+let events = 1500
 
-let measure ?(events = 1500) ?(fractions = default_fractions) () =
+let measure () =
   List.map
     (fun (s, c) ->
       let points =
@@ -26,19 +27,12 @@ let measure ?(events = 1500) ?(fractions = default_fractions) () =
       { s; c; points })
     curves_spec
 
-let run ~quick ppf =
+let name cu = Printf.sprintf "s=%d,c=%d" cu.s cu.c
+
+let run ppf =
   Report.section ppf "Figure 8: Effect of Number of Writes on LVM";
-  let curves =
-    measure
-      ~events:(if quick then 500 else 1500)
-      ~fractions:(if quick then [ 0.25; 0.5; 1.0 ] else default_fractions)
-      ()
-  in
-  let fractions = List.map (fun p -> p.fraction) (List.hd curves).points in
-  let header =
-    "fraction written"
-    :: List.map (fun cu -> Printf.sprintf "s=%d,c=%d" cu.s cu.c) curves
-  in
+  let curves = measure () in
+  let header = "fraction written" :: List.map name curves in
   let rows =
     List.map
       (fun f ->
@@ -54,4 +48,20 @@ let run ~quick ppf =
   Report.table ppf ~header rows;
   Report.note ppf
     "paper shape: speedup decreases slowly with the fraction written; \
-     only near fraction 1 does write-through overhead bite."
+     only near fraction 1 does write-through overhead bite.";
+  Report.claims
+    (List.concat_map
+       (fun cu ->
+         let at f = (List.find (fun p -> p.fraction = f) cu.points).speedup in
+         let lo = at 0.125 and mid = at 0.5 and hi = at 1.0 in
+         [
+           ( lo >= mid && mid >= hi -. 0.02,
+             Printf.sprintf
+               "%s speedup does not rise with the fraction written (measured \
+                %.2f, %.2f, %.2f at 1/8, 1/2, 1)" (name cu) lo mid hi );
+           ( lo -. mid < 0.25,
+             Printf.sprintf
+               "%s speedup falls by < 0.25 from 1/8 to 1/2 (measured %.2f -> \
+                %.2f)" (name cu) lo mid );
+         ])
+       curves)

@@ -9,12 +9,11 @@ type curve = {
   crossover_fraction : float option;
 }
 
-let default_fractions =
-  [ 0.0; 0.125; 0.25; 0.375; 0.5; 0.625; 0.75; 0.875; 1.0 ]
+let fractions = [ 0.0; 0.125; 0.25; 0.375; 0.5; 0.625; 0.75; 0.875; 1.0 ]
 
 let kcycles c = float_of_int c /. 1000.
 
-let measure ?(fractions = default_fractions) ~segment_kb () =
+let measure segment_kb =
   let size = segment_kb * 1024 in
   let pages = size / Addr.page_size in
   let frames = max 4096 ((3 * pages) + 64) in
@@ -73,14 +72,13 @@ let measure ?(fractions = default_fractions) ~segment_kb () =
 
 let sizes_kb = [ 32; 512; 2048 ]
 
-let run ~quick ppf =
+let run ppf =
   Report.section ppf "Figure 9: resetDeferredCopy vs bcopy";
-  let sizes = if quick then [ 32; 512 ] else sizes_kb in
+  let curves = List.map measure sizes_kb in
   List.iter
-    (fun segment_kb ->
-      let curve = measure ~segment_kb () in
+    (fun curve ->
       Report.subsection ppf
-        (Printf.sprintf "%d-kilobyte segment" segment_kb);
+        (Printf.sprintf "%d-kilobyte segment" curve.segment_kb);
       Report.table ppf
         ~header:[ "dirty KB"; "reset (kcycles)"; "bcopy (kcycles)" ]
         (List.map
@@ -97,4 +95,32 @@ let run ~quick ppf =
           "crossover: reset wins below %.0f%% dirty (paper: ~67%%)@."
           (100. *. f)
       | None -> Format.fprintf ppf "no crossover in the sweep@.")
-    sizes
+    curves;
+  let crossover curve =
+    let f = Option.value curve.crossover_fraction ~default:nan in
+    ( f > 0.55 && f < 0.80,
+      Printf.sprintf "%dKB crossover in (0.55, 0.80) (measured %.2f)"
+        curve.segment_kb f )
+  in
+  let kb32 = List.hd curves in
+  let at kb = List.find (fun p -> p.dirty_kb = kb) kb32.points in
+  let p0 = at 0 and p8 = at 8 and p16 = at 16 and p32 = at 32 in
+  let step = p16.reset_kcycles -. p8.reset_kcycles in
+  Report.claims
+    (Report.group "crossover band"
+       (List.map crossover
+          (List.filter (fun cu -> List.mem cu.segment_kb [ 32; 512 ]) curves))
+    @ Report.group "reset linear"
+        [
+          ( p0.reset_kcycles < 0.5,
+            Printf.sprintf
+              "32KB reset at 0 dirty < 0.5 kcycles (measured %.2f)"
+              p0.reset_kcycles );
+          ( Report.within ~tolerance:0.15 ~paper:(p32.reset_kcycles /. 4.)
+              step,
+            Printf.sprintf
+              "32KB reset grows linearly: 8->16 KB step within 15%% of %.2f \
+               (measured %.2f)" (p32.reset_kcycles /. 4.) step );
+          ( p0.bcopy_kcycles = p32.bcopy_kcycles,
+            "32KB bcopy flat in dirty KB" );
+        ])

@@ -29,4 +29,4 @@ let run ppf =
     "group commit (64 txns): group=1 %d cycles/txn, %d WAL forces; \
      group=4 %d cycles/txn, %d WAL forces@."
     c1 f1 c4 f4;
-  Report.passed
+  Report.claims []

@@ -10,9 +10,10 @@ type point = {
    logger FIFO, low enough that four write streams together push the
    shared logger toward its drain limit — the regime where bus and
    logger contention are visible. *)
-let default_c = 30
+let c = 30
+let iterations = 10_000
 
-let sweep ?(iterations = 10_000) ?(c = default_c) ?(max_cpus = 4) () =
+let sweep () =
   List.map
     (fun cpus ->
       let r = Writes_loop.run ~cpus ~iterations ~c ~unlogged:0 ~logged:1 () in
@@ -23,13 +24,13 @@ let sweep ?(iterations = 10_000) ?(c = default_c) ?(max_cpus = 4) () =
         overloads = r.Writes_loop.overloads;
         overload_cycles = r.Writes_loop.overload_cycles;
       })
-    (List.init max_cpus (fun i -> i + 1))
+    [ 1; 2; 3; 4 ]
 
 (* Smallest compute gap at which a full run sees no overload interrupt —
    the Figure 11/12 "overload avoided from c" point. More CPUs share one
    logger, so the gap must be larger (the per-CPU write rate lower)
    before overload stops: onset at a lower per-CPU write rate. *)
-let overload_onset_c ?(iterations = 10_000) ~cpus () =
+let overload_onset_c ~cpus =
   let rec search c =
     if c > 640 then None
     else
@@ -38,9 +39,8 @@ let overload_onset_c ?(iterations = 10_000) ~cpus () =
   in
   search 0
 
-let run ~quick ppf =
-  let iterations = if quick then 2_000 else 10_000 in
-  let points = sweep ~iterations () in
+let run ppf =
+  let points = sweep () in
   Report.section ppf "Multi-CPU: shared-bus contention (1-4 CPUs)";
   Report.table ppf
     ~header:
@@ -55,11 +55,12 @@ let run ~quick ppf =
     "each CPU runs the same per-CPU write loop; contention is time spent \
      waiting behind another CPU's bus transaction";
   Report.section ppf "Multi-CPU: logger overload onset";
-  let onset cpus = overload_onset_c ~iterations ~cpus () in
+  let onset cpus = overload_onset_c ~cpus in
   let show = function Some c -> Report.fi c | None -> "> 640" in
   Report.table ppf
     ~header:[ "cpus"; "overload avoided from c =" ]
     [ [ "1"; show (onset 1) ]; [ "4"; show (onset 4) ] ];
   Report.note ppf
     "4 CPUs share one logger, so overload persists to a larger compute \
-     gap (i.e. a lower per-CPU write rate) than with 1 CPU"
+     gap (i.e. a lower per-CPU write rate) than with 1 CPU";
+  Report.claims []

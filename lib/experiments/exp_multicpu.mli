@@ -2,24 +2,7 @@
     ParaDiGM prototype exhibits but a single simulated CPU cannot —
     bus-contention cycles growing with processor count, and the logger
     FIFO overload (Figures 11-12) setting in at a {e lower per-CPU}
-    write rate when four write streams share one logger. *)
+    write rate when four write streams share one logger. No target is
+    gated. *)
 
-type point = {
-  cpus : int;
-  per_iter : float;  (** Elapsed cycles per iteration (parallel time). *)
-  bus_contention : int;
-  overloads : int;
-  overload_cycles : int;
-}
-
-val sweep :
-  ?iterations:int -> ?c:int -> ?max_cpus:int -> unit -> point list
-(** One point per CPU count, 1 to [max_cpus] (default 4), at a fixed
-    compute gap [c] (default 30) per logged write. *)
-
-val overload_onset_c : ?iterations:int -> cpus:int -> unit -> int option
-(** Smallest compute gap (searched in steps of 5) at which the run
-    completes without an overload interrupt; [None] if overload persists
-    past c = 640. *)
-
-val run : quick:bool -> Format.formatter -> unit
+val run : Format.formatter -> Report.outcome

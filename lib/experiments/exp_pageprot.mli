@@ -6,18 +6,9 @@
     checkpoint, fault-and-copy each first-written page), and LVM. The
     paper argues per-write page-protect logging is impractical — a write
     fault costs thousands of cycles — which is why hardware support is
-    needed; the numbers here show where each technique's cost goes. *)
+    needed; the numbers here show where each technique's cost goes.
 
-type row = {
-  strategy : Lvm_sim.State_saving.t;
-  per_event : float;
-  protect_faults : int;
-  overloads : int;
-}
+    Target: at c = 512, s = 256, w = 4 LVM costs the fewest cycles per
+    event and page-protect takes protection faults. *)
 
-type setting = { c : int; s : int; w : int; rows : row list }
-
-val measure : ?events:int -> ?settings:(int * int * int) list -> unit ->
-  setting list
-
-val run : quick:bool -> Format.formatter -> unit
+val run : Format.formatter -> Report.outcome

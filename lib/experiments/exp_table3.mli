@@ -4,18 +4,8 @@
     bookkeeping, old-value save, redo record) vs ~16 cycles under RLVM (a
     plain logged store). TPC-A over a RAM-disk log: 418 vs 552
     transactions per second — most of the gap is bounded by commit and
-    log-truncation costs, which LVM does not reduce. *)
+    log-truncation costs, which LVM does not reduce. Target: both single
+    writes exact; both rates within 10% of the paper's; RVM in-transaction
+    time between 18% and 32%, RLVM's under 3%. *)
 
-type results = {
-  rvm_single_write : int;
-  rlvm_single_write : int;
-  rvm_tps : float;
-  rlvm_tps : float;
-  rvm_in_txn_fraction : float;
-      (** Fraction of RVM TPC-A cycles spent inside transactions (paper:
-          about 25%). *)
-  rlvm_in_txn_fraction : float;  (** Paper: under 1%. *)
-}
-
-val measure : ?txns:int -> unit -> results
-val run : quick:bool -> Format.formatter -> unit
+val run : Format.formatter -> Report.outcome

@@ -12,28 +12,28 @@ type row = {
 let seed = 23
 let population = 16
 let locality_pct = 90
+let objects = 24
+let object_words = 512
+let end_time = 600
+let scheduler_counts = [ 1; 2; 4 ]
 
-let app ~objects ~object_words =
+let app () =
   Phold.app ~objects ~object_words ~locality_pct ~seed ~compute:300 ()
 
-let engine ~objects ~object_words ~n_schedulers ~strategy =
-  let app = app ~objects ~object_words in
-  let e = Timewarp.create ~n_schedulers ~strategy ~app () in
+let engine ~n_schedulers ~strategy =
+  let e = Timewarp.create ~n_schedulers ~strategy ~app:(app ()) () in
   Phold.inject_population e ~objects ~population ~seed;
   e
 
-let conservative_engine ~objects ~object_words ~n_schedulers =
-  let app = app ~objects ~object_words in
-  let e = Conservative.create ~n_schedulers ~app () in
+let conservative_engine ~n_schedulers =
+  let e = Conservative.create ~n_schedulers ~app:(app ()) () in
   List.iter
     (fun (time, dst, payload) -> Conservative.inject e ~time ~dst ~payload)
     (Phold.population ~objects ~population ~seed);
   e
 
-let measure ?(objects = 24) ?(object_words = 512) ?(end_time = 600)
-    ?(scheduler_counts = [ 1; 2; 4 ]) () =
-  let reference = engine ~objects ~object_words ~n_schedulers:1
-      ~strategy:State_saving.Lvm_based in
+let measure () =
+  let reference = engine ~n_schedulers:1 ~strategy:State_saving.Lvm_based in
   ignore (Timewarp.run reference ~end_time);
   let reference_state = Timewarp.state_vector reference in
   List.concat_map
@@ -41,8 +41,7 @@ let measure ?(objects = 24) ?(object_words = 512) ?(end_time = 600)
       let optimistic =
         List.map
           (fun strategy ->
-            let e = engine ~objects ~object_words ~n_schedulers:schedulers
-                ~strategy in
+            let e = engine ~n_schedulers:schedulers ~strategy in
             let r = Timewarp.run e ~end_time in
             {
               schedulers;
@@ -56,10 +55,7 @@ let measure ?(objects = 24) ?(object_words = 512) ?(end_time = 600)
           [ State_saving.Copy_based; State_saving.Lvm_based ]
       in
       let conservative =
-        let e =
-          conservative_engine ~objects ~object_words
-            ~n_schedulers:schedulers
-        in
+        let e = conservative_engine ~n_schedulers:schedulers in
         let r = Conservative.run e ~end_time in
         {
           schedulers;
@@ -73,15 +69,10 @@ let measure ?(objects = 24) ?(object_words = 512) ?(end_time = 600)
       conservative :: optimistic)
     scheduler_counts
 
-let run ~quick ppf =
+let run ppf =
   Report.section ppf
     "Ablation D: TimeWarp End-to-End, LVM vs Copy-based State Saving";
-  let rows =
-    measure
-      ~end_time:(if quick then 300 else 600)
-      ~scheduler_counts:(if quick then [ 1; 4 ] else [ 1; 2; 4 ])
-      ()
-  in
+  let rows = measure () in
   Report.table ppf
     ~header:
       [ "schedulers"; "strategy"; "elapsed (cycles)"; "committed";
@@ -103,4 +94,31 @@ let run ~quick ppf =
      conservative barrier-synchronous engine (idles at every step, never \
      rolls back); LVM removes the per-event state copies from the \
      optimistic engine's critical path, and its rollback cost is paid \
-     only by schedulers running ahead (Section 2.4)."
+     only by schedulers running ahead (Section 2.4).";
+  let at4 = List.filter (fun r -> r.schedulers = 4) rows in
+  let row s = List.find (fun r -> r.strategy = s) at4 in
+  let conservative = row State_saving.No_saving
+  and copy = row State_saving.Copy_based
+  and lvm = row State_saving.Lvm_based in
+  Report.claims
+    (List.map
+       (fun r ->
+         ( r.matches_sequential,
+           State_saving.to_string r.strategy
+           ^ " at 4 schedulers matches the sequential run" ))
+       at4
+    @ [
+        ( lvm.elapsed_cycles < conservative.elapsed_cycles,
+          Printf.sprintf
+            "lvm-optimistic beats conservative at 4 schedulers (measured %d \
+             vs %d cycles)" lvm.elapsed_cycles conservative.elapsed_cycles );
+        ( copy.elapsed_cycles > conservative.elapsed_cycles,
+          Printf.sprintf
+            "copy-optimistic loses to conservative at 4 schedulers \
+             (measured %d vs %d cycles)" copy.elapsed_cycles
+            conservative.elapsed_cycles );
+        ( copy.committed = lvm.committed,
+          Printf.sprintf
+            "copy and lvm commit the same events (measured %d vs %d)"
+            copy.committed lvm.committed );
+      ])

@@ -6,14 +6,14 @@
 type t = {
   id : string;  (** Short name for the CLI, e.g. "table2". *)
   description : string;
-  run : quick:bool -> Format.formatter -> Report.outcome;
-      (** Print the report. [quick] shrinks the paper sweeps; the
-          comparisons always run at their recorded size. *)
+  run : Format.formatter -> Report.outcome;
+      (** Print the report and check the experiment's targets, at its one
+          size. *)
 }
 
 val all : t list
 val find : string -> t option
 
-val run_all : ?quick:bool -> Format.formatter -> string list
+val run_all : Format.formatter -> string list
 (** Run every experiment in order; the missed targets, each prefixed
     with its experiment's id. *)

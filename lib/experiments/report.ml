@@ -42,4 +42,11 @@ let ff ?(decimals = 2) f = Printf.sprintf "%.*f" decimals f
 
 type outcome = { blob : string option; missed : string list }
 
-let passed = { blob = None; missed = [] }
+let claims l =
+  { blob = None;
+    missed = List.filter_map (fun (met, t) -> if met then None else Some t) l }
+
+let group name l = List.map (fun (met, t) -> (met, name ^ ": " ^ t)) l
+
+let within ~tolerance ~paper x =
+  x >= paper *. (1. -. tolerance) && x <= paper *. (1. +. tolerance)

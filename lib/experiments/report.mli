@@ -29,5 +29,15 @@ type outcome = {
       (** Targets the run fell short of, one line each; [[]] passes. *)
 }
 
-val passed : outcome
-(** No JSON record, no target missed: every paper table and figure. *)
+val claims : (bool * string) list -> outcome
+(** The outcome of a run that records no JSON: the targets among
+    [(met, target)] pairs that were not met. *)
+
+val group : string -> (bool * string) list -> (bool * string) list
+(** [group name targets] prefixes each target's text with [name ^ ": "],
+    so the missed lines of an experiment with several groups of targets
+    say which group they belong to. *)
+
+val within : tolerance:float -> paper:float -> float -> bool
+(** [within ~tolerance ~paper x]: [x] lies within [tolerance] (a
+    fraction) of [paper]. *)
