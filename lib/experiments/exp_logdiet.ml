@@ -57,7 +57,6 @@ let overload_point ~codec ~coalesce_depth =
       Lvm_log.truncate_suffix (Lvm_log.of_segment k ls) ~new_end:0
   done;
   let cycles = Kernel.time k - t0 in
-  Logger.complete_pending (Machine.logger (Kernel.machine k));
   let stream_bytes =
     match codec with
     | Log_record.V1 ->

@@ -58,7 +58,6 @@ let run_single ?hw ~iterations ~c ~unlogged ~logged () =
     end
   done;
   let cycles = Kernel.time k - t0 in
-  Logger.complete_pending (Machine.logger (Kernel.machine k));
   {
     iterations;
     cycles;
@@ -144,7 +143,6 @@ let run_multi ?hw ~cpus ~iterations ~c ~unlogged ~logged () =
     done;
     !worst
   in
-  Logger.complete_pending (Machine.logger machine);
   {
     iterations;
     cycles;

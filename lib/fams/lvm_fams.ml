@@ -142,7 +142,7 @@ let snapshot t =
     || Segment.absorbed_crossings t.ls > t.epoch_absorbed_base
   in
   let log_records =
-    match Lvm_log.stream_version t.log with
+    match Lvm_log.stream_version t.k t.ls with
     | Log_record.V0 -> Segment.write_pos t.ls / Lvm_machine.Log_record.bytes
     | Log_record.V1 -> Lvm.Log_reader.record_count t.k t.ls
   in
@@ -164,7 +164,7 @@ let snapshot t =
        + (words len * Rvm_costs.redo_copy_per_word));
     bytes := !bytes + len
   in
-  (match Lvm_log.stream_version t.log with
+  (match Lvm_log.stream_version t.k t.ls with
   | Log_record.V0 ->
     List.iter
       (fun (off, len) ->

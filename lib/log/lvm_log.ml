@@ -158,9 +158,9 @@ let sync t = Kernel.sync_log t.k t.seg
    every logged write, so they must not force the buffer out. *)
 let sync_pos t = Kernel.sync_log_pos t.k t.seg
 
-let stream_version t =
-  match Segment.log_mode t.seg with
-  | Logger.Normal -> Logger.codec (Machine.logger (Kernel.machine t.k))
+let stream_version k seg =
+  match Segment.log_mode seg with
+  | Logger.Normal -> Logger.codec (Machine.logger (Kernel.machine k))
   | Logger.Direct_mapped | Logger.Indexed -> Log_record.V0
 
 let length t =
@@ -252,15 +252,13 @@ let mark_truncatable t ~upto =
   if upto > t.truncatable_upto then t.truncatable_upto <- upto;
   refresh_gauges t
 
-(* Copy stream bytes out of the segment's frames (untimed; cost is
-   charged by the caller). *)
-let snapshot_bytes t ~len =
-  let mem = Machine.mem (Kernel.machine t.k) in
+let snapshot_bytes k seg ~len =
+  let mem = Machine.mem (Kernel.machine k) in
   let buf = Bytes.create len in
   let off = ref 0 in
   while !off < len do
     let chunk = min (Addr.page_size - Addr.page_offset !off) (len - !off) in
-    let paddr = Kernel.paddr_of t.k t.seg ~off:!off in
+    let paddr = Kernel.paddr_of k seg ~off:!off in
     Physmem.blit_to_bytes mem ~src:paddr buf ~pos:!off ~len:chunk;
     off := !off + chunk
   done;
@@ -283,7 +281,7 @@ let compact t =
   let pos = Segment.write_pos seg in
   let keep_from = min t.truncatable_upto pos in
   let remaining =
-    match stream_version t with
+    match stream_version t.k t.seg with
     | Log_record.V0 ->
       let remaining = pos - keep_from in
       if remaining > 0 then begin
@@ -315,7 +313,7 @@ let compact t =
          from the stream head so every delta resolves) and re-encode
          them as a fresh stream, charged at the same bcopy rate over the
          bytes written. *)
-      let buf = snapshot_bytes t ~len:pos in
+      let buf = snapshot_bytes t.k t.seg ~len:pos in
       let kept = ref [] in
       ignore
         (Log_record.Codec.scan buf ~pos:0 ~len:pos ~f:(fun ~off ~next:_ rs ->
@@ -349,7 +347,7 @@ let seal t =
   let sealed = Segment.write_pos t.seg in
   (* A V1 stream's floor is its 8-byte version header, not zero. *)
   let empty =
-    match stream_version t with
+    match stream_version t.k t.seg with
     | Log_record.V0 -> 0
     | Log_record.V1 -> Log_record.Codec.header_bytes
   in
@@ -376,49 +374,6 @@ let truncate_suffix t ~new_end =
   if t.truncatable_upto > new_end then t.truncatable_upto <- new_end;
   Kernel.rearm_log t.k t.seg;
   refresh_gauges t
-
-(* {1 Software epoch coalescing}
-
-   The commit-path analogue of the logger's hardware buffer: squash one
-   epoch's worth of write records before they are serialized into a WAL
-   payload. Only whole-word writes merge (last value wins, first-touch
-   order); a sub-word write flushes the pending words first so
-   overlapping extents can never be re-ordered against each other. *)
-
-module Coalescer = struct
-  type write = { off : int; size : int; value : int; timestamp : int }
-
-  let squash writes =
-    let tbl = Hashtbl.create 64 in
-    let order = Queue.create () in
-    let out = ref [] in
-    let absorbed = ref 0 in
-    let flush () =
-      Queue.iter
-        (fun off ->
-          match Hashtbl.find_opt tbl off with
-          | Some w -> out := w :: !out
-          | None -> ())
-        order;
-      Queue.clear order;
-      Hashtbl.reset tbl
-    in
-    List.iter
-      (fun w ->
-        if w.size = Addr.word_size && w.off land (Addr.word_size - 1) = 0
-        then begin
-          if Hashtbl.mem tbl w.off then incr absorbed
-          else Queue.push w.off order;
-          Hashtbl.replace tbl w.off w
-        end
-        else begin
-          flush ();
-          out := w :: !out
-        end)
-      writes;
-    flush ();
-    (List.rev !out, !absorbed)
-end
 
 (* {1 Group commit} *)
 

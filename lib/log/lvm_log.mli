@@ -90,9 +90,15 @@ val sync : t -> unit
     sync: drains the logger's write-coalescing buffer first when one is
     configured (see {!Lvm_vm.Kernel.sync_log}). *)
 
-val stream_version : t -> Lvm_machine.Log_record.version
-(** Wire format of the log's record stream (the logger's codec for
-    [Normal]-mode logs, [V0] otherwise). *)
+val stream_version :
+  Lvm_vm.Kernel.t -> Lvm_vm.Segment.t -> Lvm_machine.Log_record.version
+(** Wire format of a log segment's record stream, managed or not: the
+    kernel's logger writes every stream, so its codec is authoritative
+    for [Normal]-mode logs; mapped and indexed streams are [V0]. *)
+
+val snapshot_bytes : Lvm_vm.Kernel.t -> Lvm_vm.Segment.t -> len:int -> Bytes.t
+(** Untimed copy of the first [len] bytes of a log segment's record
+    stream out of its frames (one address translation per page). *)
 
 val length : t -> int
 (** Synchronized write position: bytes of records in the log. *)
@@ -140,19 +146,6 @@ val seal : t -> int
     Sealing an empty active extent — and hence sealing twice in one
     epoch — is a guaranteed no-op returning [0]: nothing is compacted or
     recycled, {!stats} are unchanged, and the ring stays consistent. *)
-
-(** {1 Software epoch coalescing} *)
-
-module Coalescer : sig
-  type write = { off : int; size : int; value : int; timestamp : int }
-
-  val squash : write list -> write list * int
-  (** Squash one epoch of write records before WAL serialization: repeated
-      whole-word writes to the same offset merge in place (last value
-      wins, first-touch order); a sub-word write flushes the pending words
-      first so overlapping extents keep their relative order. Returns the
-      squashed sequence and the number of absorbed writes. *)
-end
 
 (** {1 Group commit} *)
 

@@ -10,7 +10,7 @@ let apply_record k ~target ~off (r : Log_record.t) =
     ~mode:Machine.Write_back ~logged:false r.Log_record.value
 
 let roll_forward k ~log ~from ~apply =
-  match Log_reader.stream_version k log with
+  match Lvm_log.stream_version k log with
   | Log_record.V0 ->
     let m = Kernel.machine k in
     Log_reader.walk_v0 ~start:from k log ~f:(fun ~off ~paddr ->

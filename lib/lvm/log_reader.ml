@@ -8,39 +8,16 @@ let length k ls =
   Kernel.sync_log k ls;
   Segment.write_pos ls
 
-(* The wire format of the segment's record stream. Streams are written by
-   this kernel's logger, so the logger's configured codec is
-   authoritative; only [Normal]-mode streams carry encoded records. *)
-let stream_version k ls =
-  match Segment.log_mode ls with
-  | Logger.Normal -> Logger.codec (Machine.logger (Kernel.machine k))
-  | Logger.Direct_mapped | Logger.Indexed -> Log_record.V0
-
-(* Copy the whole record stream out of physical memory (one address
-   translation per page). V1 walks operate on this snapshot: records are
-   variable-length and deltas need look-behind, so the stream is parsed
-   as one contiguous fragment. *)
-let snapshot_stream k ls =
-  let len = length k ls in
-  let mem = Machine.mem (Kernel.machine k) in
-  let buf = Bytes.create len in
-  let off = ref 0 in
-  while !off < len do
-    let chunk = min (Addr.page_size - Addr.page_offset !off) (len - !off) in
-    let paddr = Kernel.paddr_of k ls ~off:!off in
-    Physmem.blit_to_bytes mem ~src:paddr buf ~pos:!off ~len:chunk;
-    off := !off + chunk
-  done;
-  buf
-
 (* Fold over physical records — the stream's containers. Under V0 every
    container is one bare record; under V1 a container may carry a run of
    records (or none: version headers and pads). [next] is the offset just
    past the container. *)
 let fold_phys k ls ~init ~f =
-  match stream_version k ls with
+  match Lvm_log.stream_version k ls with
   | Log_record.V1 ->
-    let buf = snapshot_stream k ls in
+    (* Records are variable-length and deltas need look-behind, so the
+       stream is parsed as one contiguous copy. *)
+    let buf = Lvm_log.snapshot_bytes k ls ~len:(length k ls) in
     let acc = ref init in
     ignore
       (Log_record.Codec.scan buf ~pos:0 ~len:(Bytes.length buf)
@@ -59,13 +36,13 @@ let fold_phys k ls ~init ~f =
     go init 0
 
 let record_count k ls =
-  match stream_version k ls with
+  match Lvm_log.stream_version k ls with
   | Log_record.V0 -> length k ls / Log_record.bytes
   | Log_record.V1 ->
     fold_phys k ls ~init:0 ~f:(fun n ~off:_ ~next:_ rs -> n + List.length rs)
 
 let read_at k ls ~off =
-  match stream_version k ls with
+  match Lvm_log.stream_version k ls with
   | Log_record.V0 ->
     let paddr = Kernel.paddr_of k ls ~off in
     Log_record.decode_from (Machine.mem (Kernel.machine k)) ~paddr
@@ -95,7 +72,7 @@ let read_v0_timed m ~paddr =
   Log_record.decode_from (Machine.mem m) ~paddr
 
 let read_at_timed k ls ~off =
-  match stream_version k ls with
+  match Lvm_log.stream_version k ls with
   | Log_record.V0 ->
     read_v0_timed (Kernel.machine k) ~paddr:(Kernel.paddr_of k ls ~off)
   | Log_record.V1 ->
@@ -163,7 +140,7 @@ let fold_v0 ?start k ls ~init ~f =
   !acc
 
 let fold k ls ~init ~f =
-  match stream_version k ls with
+  match Lvm_log.stream_version k ls with
   | Log_record.V0 -> fold_v0 k ls ~init ~f
   | Log_record.V1 ->
     (* Logical records decoded from the stream snapshot; [off] is the
@@ -173,38 +150,6 @@ let fold k ls ~init ~f =
         List.fold_left (fun acc r -> f acc ~off r) acc rs)
 
 let iter k ls ~f = fold k ls ~init:() ~f:(fun () ~off r -> f ~off r)
-
-(* Incremental fold for appliers: only records stamped strictly past
-   [ts], plus the high-water timestamp to feed back next tick. *)
-let fold_from k ls ~ts ~init ~f =
-  let last = ref ts in
-  let wrap acc ~off (r : Log_record.t) =
-    if r.Log_record.timestamp > ts then begin
-      if r.Log_record.timestamp > !last then last := r.Log_record.timestamp;
-      f acc ~off r
-    end
-    else acc
-  in
-  let acc =
-    match stream_version k ls with
-    | Log_record.V1 ->
-      (* Variable-length containers: no random access, walk and filter. *)
-      fold_phys k ls ~init ~f:(fun acc ~off ~next:_ rs ->
-          List.fold_left (fun acc r -> wrap acc ~off r) acc rs)
-    | Log_record.V0 ->
-      (* Timestamps are nondecreasing in log order and V0 records are
-         fixed-size: binary-search the first record past [ts] so an
-         incremental applier never rescans the sealed prefix. *)
-      let count = length k ls / Log_record.bytes in
-      let lo = ref 0 and hi = ref count in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        let r = read_at k ls ~off:(mid * Log_record.bytes) in
-        if r.Log_record.timestamp > ts then hi := mid else lo := mid + 1
-      done;
-      fold_v0 ~start:(!lo * Log_record.bytes) k ls ~init ~f:wrap
-  in
-  (acc, !last)
 
 let to_list k ls =
   List.rev (fold k ls ~init:[] ~f:(fun acc ~off:_ r -> r :: acc))

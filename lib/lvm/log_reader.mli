@@ -17,10 +17,6 @@ val length : kernel -> segment -> int
 (** Bytes of records currently in the log (syncs with the logger, which
     also drains its coalescing buffer when one is configured). *)
 
-val stream_version : kernel -> segment -> Lvm_machine.Log_record.version
-(** Wire format of the segment's record stream: the logger's configured
-    codec for [Normal]-mode streams, [V0] for mapped/streamed output. *)
-
 val record_count : kernel -> segment -> int
 (** Logical records in the log (decoded count under [V1]). *)
 
@@ -84,18 +80,6 @@ val fold :
 
 val iter :
   kernel -> segment -> f:(off:int -> Lvm_machine.Log_record.t -> unit) -> unit
-
-val fold_from :
-  kernel -> segment -> ts:int -> init:'a ->
-  f:('a -> off:int -> Lvm_machine.Log_record.t -> 'a) -> 'a * int
-(** Incremental variant of {!fold} for log-tailing appliers: visit only
-    records whose [timestamp] is strictly greater than [ts], and return
-    the accumulator together with the highest timestamp seen ([ts]
-    itself when nothing qualified) — the applied frontier to pass back
-    on the next tick. Record timestamps are nondecreasing in log order,
-    so under [V0] (fixed-size records) the walk binary-searches its
-    starting record instead of rescanning sealed extents from zero;
-    [V1] streams are walked and filtered. *)
 
 val to_list : kernel -> segment -> Lvm_machine.Log_record.t list
 

@@ -33,6 +33,14 @@ let decode_from mem ~paddr =
   Physmem.blit_to_bytes mem ~src:paddr scratch ~pos:0 ~len:bytes;
   decode_bytes scratch ~pos:0
 
+let value_bytes t =
+  let b = Bytes.create t.size in
+  (match t.size with
+  | 1 -> Bytes.set_uint8 b 0 (t.value land 0xFF)
+  | 2 -> Bytes.set_uint16_le b 0 (t.value land 0xFFFF)
+  | _ -> Bytes.set_int32_le b 0 (Int32.of_int t.value));
+  b
+
 let equal a b =
   a.addr = b.addr && a.value = b.value && a.size = b.size
   && a.timestamp = b.timestamp && a.pre_image = b.pre_image

@@ -33,6 +33,10 @@ val decode_from : Physmem.t -> paddr:int -> t
 val encode_bytes : Bytes.t -> pos:int -> t -> unit
 val decode_bytes : Bytes.t -> pos:int -> t
 
+val value_bytes : t -> Bytes.t
+(** The [size] bytes the record writes, little-endian: the redo payload
+    of a write. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

@@ -43,8 +43,7 @@ type t = {
   record_old_values : bool;
   codec : Log_record.version;
   coalesce_depth : int;
-  co_tbl : (int, raw) Hashtbl.t; (* word paddr -> last write, last-wins *)
-  co_order : int Queue.t; (* first-touch drain order *)
+  co : raw Squash.t option; (* the coalescing buffer, keyed by word paddr *)
   stats : diet_stats option;
   pmt : pmt_entry array;
   pmt_bits : int;
@@ -101,8 +100,9 @@ let create ?obs ?(hw = Prototype) ?(record_old_values = false)
     record_old_values;
     codec;
     coalesce_depth;
-    co_tbl = Hashtbl.create 64;
-    co_order = Queue.create ();
+    co =
+      (if coalesce_depth > 0 then Some (Squash.create ~depth:coalesce_depth)
+       else None);
     stats;
     pmt =
       Array.init (1 lsl pmt_bits) (fun _ ->
@@ -132,7 +132,8 @@ let hw t = t.hw
 let records_old_values t = t.record_old_values
 let codec t = t.codec
 let coalesce_depth t = t.coalesce_depth
-let coalesce_pending t = Queue.length t.co_order
+let coalesce_pending t =
+  match t.co with Some co -> Squash.pending co | None -> 0
 let set_enabled t b = t.enabled <- b
 let enabled t = t.enabled
 let set_fault_handler t f = t.on_fault <- f
@@ -144,7 +145,7 @@ let set_fault_plan t p = t.fault_plan <- p
    log-lifecycle layer adds this to its reservations so a deferred flush
    can never land past the end of the segment. *)
 let pending_log_bytes_bound t =
-  let pending = Queue.length t.co_order in
+  let pending = coalesce_pending t in
   match t.codec with
   | Log_record.V0 -> pending * Log_record.bytes
   | Log_record.V1 -> Log_record.Codec.worst_case_bytes ~writes:pending
@@ -290,14 +291,6 @@ let rec service_one t (w : raw) ~attempts =
             ~value:w.w_value
         | Some _ | None -> ()
       end
-
-(* Entries are serviced eagerly at snoop time: the logger's DMA runs on
-   its own low-priority bus track, so its future completion times never
-   delay CPU transactions and can be booked immediately. [advance] and
-   [complete_pending] remain as synchronization points in the interface
-   but have nothing left to do. *)
-let advance _t ~now:_ = ()
-let complete_pending _t = ()
 
 let occupancy_at t ~now = Fifo.occupancy t.fifo ~now
 let occupancy t = occupancy_at t ~now:!(t.clock)
@@ -566,70 +559,43 @@ let service_batch t raws =
 (* {1 The coalescing buffer}
 
    A small associative buffer in front of the FIFOs (the in-cache-line
-   logging idea): full-word writes park here and repeated writes to the
-   same word are absorbed in place, last value wins. The buffer drains in
-   first-touch order on commit/force/snapshot boundaries (the kernel's
-   hard log sync) or when it fills. Only whole-word writes coalesce —
-   sub-word writes would have to merge across overlapping extents to
-   stay order-independent, so they flush the buffer and take the
-   uncoalesced path. *)
+   logging idea), following the {!Squash} rule: full-word writes park
+   and repeated writes to the same word are absorbed in place. The
+   buffer drains on commit/force/snapshot boundaries (the kernel's hard
+   log sync) or when it fills. *)
 
-let coalescible (w : raw) =
-  w.w_size = Addr.word_size && w.w_paddr land (Addr.word_size - 1) = 0
-  && not w.w_pre_image
+let emit_coalesced t raws =
+  (match t.stats with
+  | Some s -> Lvm_obs.Counter.add s.s_flushed (List.length raws)
+  | None -> ());
+  (* Records leave the buffer now, so they are stamped now — a drain
+     shares one timestamp (like a cache-line writeback), which is also
+     what lets sequential buffered words collapse into runs. *)
+  match t.codec with
+  | Log_record.V1 ->
+    let now = !(t.clock) in
+    let ts = now / Cycles.timestamp_divider in
+    service_batch t
+      (List.map (fun w -> { w with w_arrival = now; w_timestamp = ts }) raws)
+  | Log_record.V0 ->
+    List.iter
+      (fun w ->
+        let arrival = !(t.clock) in
+        admit t ~arrival;
+        let arrival = max arrival !(t.clock) in
+        service_one t
+          { w with
+            w_arrival = arrival;
+            w_timestamp = arrival / Cycles.timestamp_divider }
+          ~attempts:0)
+      raws
 
 let flush_coalesced t =
-  if Queue.length t.co_order > 0 then begin
-    let raws =
-      Queue.fold
-        (fun acc paddr ->
-          match Hashtbl.find_opt t.co_tbl paddr with
-          | Some w -> w :: acc
-          | None -> acc)
-        [] t.co_order
-      |> List.rev
-    in
-    Queue.clear t.co_order;
-    Hashtbl.reset t.co_tbl;
-    (match t.stats with
-    | Some s -> Lvm_obs.Counter.add s.s_flushed (List.length raws)
-    | None -> ());
-    (* Records leave the buffer now, so they are stamped now — a drain
-       shares one timestamp (like a cache-line writeback), which is also
-       what lets sequential buffered words collapse into runs. *)
-    match t.codec with
-    | Log_record.V1 ->
-      let now = !(t.clock) in
-      let ts = now / Cycles.timestamp_divider in
-      service_batch t
-        (List.map (fun w -> { w with w_arrival = now; w_timestamp = ts }) raws)
-    | Log_record.V0 ->
-      List.iter
-        (fun w ->
-          let arrival = !(t.clock) in
-          admit t ~arrival;
-          let arrival = max arrival !(t.clock) in
-          service_one t
-            { w with
-              w_arrival = arrival;
-              w_timestamp = arrival / Cycles.timestamp_divider }
-            ~attempts:0)
-        raws
-  end
+  match t.co with
+  | Some co when Squash.pending co > 0 -> emit_coalesced t (Squash.drain co)
+  | Some _ | None -> ()
 
-let discard_coalesced t =
-  Queue.clear t.co_order;
-  Hashtbl.reset t.co_tbl
-
-let coalesce_insert t (w : raw) =
-  (if Hashtbl.mem t.co_tbl w.w_paddr then begin
-     match t.stats with
-     | Some s -> Lvm_obs.Counter.incr s.s_absorbed
-     | None -> ()
-   end
-   else Queue.push w.w_paddr t.co_order);
-  Hashtbl.replace t.co_tbl w.w_paddr w;
-  if Queue.length t.co_order >= t.coalesce_depth then flush_coalesced t
+let discard_coalesced t = Option.iter (fun co -> ignore (Squash.drain co)) t.co
 
 let snoop ?old_value t ~paddr ~vaddr ~size ~value =
   if t.enabled then begin
@@ -662,11 +628,23 @@ let snoop ?old_value t ~paddr ~vaddr ~size ~value =
         w_pre_image = false;
       }
     in
-    if t.coalesce_depth > 0 && coalescible (raw_at !(t.clock)) then
-      coalesce_insert t (raw_at !(t.clock))
-    else begin
-      (* an uncoalescible write must not overtake buffered ones *)
-      if Queue.length t.co_order > 0 then flush_coalesced t;
+    let parked =
+      match t.co with
+      | None -> false
+      | Some co -> (
+        match
+          Squash.write co ~addr:paddr ~size (raw_at !(t.clock))
+            ~flush:(emit_coalesced t)
+        with
+        | Squash.Absorbed ->
+          (match t.stats with
+          | Some s -> Lvm_obs.Counter.incr s.s_absorbed
+          | None -> ());
+          true
+        | Squash.Parked -> true
+        | Squash.Bypass -> false)
+    in
+    if not parked then
       match t.codec with
       | Log_record.V1 -> service_batch t [ raw_at !(t.clock) ]
       | Log_record.V0 ->
@@ -674,5 +652,4 @@ let snoop ?old_value t ~paddr ~vaddr ~size ~value =
         admit t ~arrival;
         let arrival = max arrival !(t.clock) in
         service_one t (raw_at arrival) ~attempts:0
-    end
   end

@@ -72,9 +72,10 @@ val create :
     prototype) or [Log_record.V1] (the versioned codec — runs, deltas and
     pads; DMA and FIFO cost scale with the encoded size). [coalesce_depth]
     (default 0 = off) enables a [depth]-word associative coalescing buffer
-    in front of the FIFOs: repeated full-word writes to the same word are
-    absorbed in place and the buffer drains in first-touch order when full
-    or at a hard log sync ({!flush_coalesced}). Coalescing is incompatible
+    in front of the FIFOs, following the {!Squash} rule: repeated
+    full-word writes to the same word are absorbed in place and the
+    buffer drains in first-touch order when full or at a hard log sync
+    ({!flush_coalesced}). Coalescing is incompatible
     with [record_old_values] (absorbed stores would lose their
     pre-images). With both features off, the datapath is exactly the
     seed's. Metrics [log.coalesce_*], [log.records_*] and [log.bytes_*]
@@ -174,14 +175,6 @@ val snoop :
     run the entry through the pipeline, booking its DMA on the bus's
     low-priority track. The machine calls this from its write path when
     the page mapping asserts the "logged" bus signal. *)
-
-val advance : t -> now:int -> unit
-(** Historical synchronization point; entries are serviced eagerly at
-    snoop time (the DMA track never delays the CPU), so this is a no-op. *)
-
-val complete_pending : t -> unit
-(** Synchronize with the pipeline before software reads the log tables.
-    A no-op under eager servicing; kept as the kernel's ordering point. *)
 
 val busy : t -> bool
 (** Whether the logger is still draining records at the current clock. *)

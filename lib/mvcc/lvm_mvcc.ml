@@ -36,8 +36,8 @@ module View = struct
     mutable base_ts : int;
     mutable phys_cursor : int; (* WAL byte offset of the next unparsed record *)
     stamps : (int, int) Hashtbl.t; (* rlvm txn id -> commit timestamp *)
-    pending : (int, (int * int * int) list ref) Hashtbl.t;
-        (* open txn id -> (off, size, value) writes, newest first *)
+    pending : (int, (int * Bytes.t) list ref) Hashtbl.t;
+        (* open txn id -> (off, new bytes) redo writes, newest first *)
     versions : (int, (int * int) list) Hashtbl.t;
         (* word offset -> (ts, word value) chain, newest first *)
     mutable applied_ts : int;
@@ -99,43 +99,42 @@ module View = struct
     in
     Hashtbl.replace sh.versions off (ins chain)
 
-  (* Fold one transaction's writes in, as one version per touched word.
-     The store writes whole aligned words; sub-word redo (possible in a
-     raw WAL) is folded read-modify-write against the newest word. *)
+  (* Fold one transaction's redo writes in, as one version per touched
+     word. The store writes whole aligned words; a write covering only
+     part of a word (possible in a raw WAL) merges into its newest
+     version. *)
   let apply_writes v sh ~ts writes =
     List.iter
-      (fun (off, size, value) ->
-        let woff = off - (off land 3) in
-        let nw =
-          if size >= 4 || off land 3 + size > 4 then value land mask32
-          else begin
-            let b = Bytes.create 4 in
-            Bytes.set_int32_le b 0
-              (Int32.of_int (shard_value sh ~off:woff ~ts:max_int));
-            (match size with
-            | 1 -> Bytes.set_uint8 b (off land 3) (value land 0xFF)
-            | _ -> Bytes.set_uint16_le b (off land 3) (value land 0xFFFF));
-            word_at b 0
-          end
-        in
-        push_version sh ~off:woff ~ts ~value:nw;
-        Lvm_obs.Counter.incr v.c_applied)
+      (fun (off, bytes) ->
+        let last = off + Bytes.length bytes in
+        let woff = ref (off land lnot 3) in
+        while !woff < last do
+          let w = !woff in
+          let value =
+            if w >= off && w + 4 <= last then word_at bytes (w - off)
+            else begin
+              let b = Bytes.create 4 in
+              Bytes.set_int32_le b 0
+                (Int32.of_int (shard_value sh ~off:w ~ts:max_int));
+              let lo = max off w in
+              Bytes.blit bytes (lo - off) b (lo - w) (min last (w + 4) - lo);
+              word_at b 0
+            end
+          in
+          push_version sh ~off:w ~ts ~value;
+          Lvm_obs.Counter.incr v.c_applied;
+          woff := w + 4
+        done)
       writes
 
-  let data_value bytes =
-    match Bytes.length bytes with
-    | 1 -> (Bytes.get_uint8 bytes 0, 1)
-    | 2 -> (Bytes.get_uint16_le bytes 0, 2)
-    | _ -> (word_at bytes 0, 4)
-
-  let buffer_write sh ~txn w =
+  let buffer_write sh ~txn ~off bytes =
     match Hashtbl.find_opt sh.pending txn with
-    | Some r -> r := w :: !r
-    | None -> Hashtbl.replace sh.pending txn (ref [ w ])
+    | Some r -> r := (off, bytes) :: !r
+    | None -> Hashtbl.replace sh.pending txn (ref [ (off, bytes) ])
 
   exception Stall of int
 
-  (* Advance one shard's walk over its WAL: buffer redo payloads by
+  (* Advance one shard's walk over its WAL: buffer redo writes by
      transaction id, apply a transaction when its commit marker and its
      stamp have both arrived. The walk parks (without error) on a marker
      whose stamp is still in flight and on any unforced tail —
@@ -145,51 +144,31 @@ module View = struct
      frontier back (see [frontier]). *)
   let tick_shard v s =
     let sh = v.sh.(s) in
-    let disk = v.src.disk s in
-    let entries, next =
-      Ramdisk.wal_fold disk ~off:sh.phys_cursor ~init:[] ~f:(fun acc ~off e ->
-          (off, e) :: acc)
+    let commit ~pos txn =
+      match Hashtbl.find_opt sh.stamps txn with
+      | None ->
+        sh.stalled <- true;
+        raise (Stall pos)
+      | Some ts ->
+        let writes =
+          match Hashtbl.find_opt sh.pending txn with
+          | Some r -> List.rev !r
+          | None -> []
+        in
+        Hashtbl.remove sh.pending txn;
+        Hashtbl.remove sh.stamps txn;
+        apply_writes v sh ~ts writes;
+        if ts > sh.applied_ts then sh.applied_ts <- ts
     in
     sh.stalled <- false;
-    let cursor = ref next in
-    (try
-       List.iter
-         (fun (off, e) ->
-           match e with
-           | Ramdisk.Data { txn; off = doff; bytes } ->
-             let value, size = data_value bytes in
-             buffer_write sh ~txn (doff, size, value)
-           | Ramdisk.Encoded { txn; payload } ->
-             let records, _ =
-               Lvm_machine.Log_record.Codec.decode_fragment payload ~pos:0
-                 ~len:(Bytes.length payload)
-             in
-             List.iter
-               (fun (r : Lvm_machine.Log_record.t) ->
-                 if not r.Lvm_machine.Log_record.pre_image then
-                   buffer_write sh ~txn
-                     ( r.Lvm_machine.Log_record.addr,
-                       r.Lvm_machine.Log_record.size,
-                       r.Lvm_machine.Log_record.value ))
-               records
-           | Ramdisk.Commit { txn } | Ramdisk.Snapshot { snap = txn } -> (
-             match Hashtbl.find_opt sh.stamps txn with
-             | None ->
-               sh.stalled <- true;
-               raise (Stall off)
-             | Some ts ->
-               let writes =
-                 match Hashtbl.find_opt sh.pending txn with
-                 | Some r -> List.rev !r
-                 | None -> []
-               in
-               Hashtbl.remove sh.pending txn;
-               Hashtbl.remove sh.stamps txn;
-               apply_writes v sh ~ts writes;
-               if ts > sh.applied_ts then sh.applied_ts <- ts))
-         (List.rev entries)
-     with Stall off -> cursor := off);
-    sh.phys_cursor <- !cursor
+    sh.phys_cursor <-
+      (try
+         snd
+           (Ramdisk.wal_fold (v.src.disk s) ~off:sh.phys_cursor ~init:()
+              ~f:(fun () ~off:pos e ->
+                Ramdisk.redo e ~commit:(commit ~pos)
+                  ~write:(buffer_write sh)))
+       with Stall pos -> pos)
 
   (* The shard's applied frontier: with a stamped-but-unapplied commit
      (unforced under group commit, or a parked marker) the frontier is
@@ -316,12 +295,11 @@ module View = struct
     find v.route_hist
 
   let install_hooks v =
-    (* Recycling a shard's WAL is deferred until the view has parsed it
-       in full — at most one commit, since the commit path re-checks the
-       truncation threshold and the stamp event re-ticks the walk. After
-       a truncation rebuilt the log (only unapplied-uncommitted records
-       survive, all of them already buffered in [pending]), the cursor
-       resnaps to the rebuilt end. *)
+    (* Recycling a shard's WAL waits until the view has parsed it in
+       full. (Known defect, see docs/MVCC.md: under the store this gate
+       never opens.) After a truncation rebuilt the log (only
+       unapplied-uncommitted records survive, all of them already
+       buffered in [pending]), the cursor resnaps to the rebuilt end. *)
     for s = 0 to v.src.shards - 1 do
       let sh = v.sh.(s) in
       let disk = v.src.disk s in
@@ -435,57 +413,3 @@ let read s ~key =
     Lvm_obs.Counter.incr v.c_reads;
     Ok (View.shard_value v.sh.(shard) ~off ~ts:s.s_ts)
   end
-
-(* {1 Incremental LVM-log applier}
-
-   The satellite consumer of [Log_reader.fold_from]: a versioned word
-   store fed straight from an LVM log segment's records (not the WAL),
-   resuming each tick from its applied-frontier timestamp instead of
-   rescanning sealed extents from zero. *)
-
-module Applier = struct
-  type t = {
-    k : Lvm_vm.Kernel.t;
-    ls : Lvm_vm.Segment.t;
-    versions : (int, (int * int) list) Hashtbl.t; (* addr -> (ts, value) *)
-    mutable last_ts : int;
-    mutable applied : int;
-  }
-
-  let create k ls =
-    { k; ls; versions = Hashtbl.create 97; last_ts = 0; applied = 0 }
-
-  let last_ts t = t.last_ts
-
-  let tick t =
-    let before = t.applied in
-    let (), last =
-      Lvm.Log_reader.fold_from t.k t.ls ~ts:t.last_ts ~init:() ~f:(fun () ~off:_ r ->
-          if not r.Lvm_machine.Log_record.pre_image then begin
-            let addr = r.Lvm_machine.Log_record.addr in
-            let ts = r.Lvm_machine.Log_record.timestamp in
-            let chain =
-              match Hashtbl.find_opt t.versions addr with
-              | Some c -> c
-              | None -> []
-            in
-            Hashtbl.replace t.versions addr
-              ((ts, r.Lvm_machine.Log_record.value) :: chain);
-            t.applied <- t.applied + 1
-          end)
-    in
-    t.last_ts <- last;
-    t.applied - before
-
-  let value_as_of t ~addr ~ts =
-    let rec find = function
-      | (ts', v) :: _ when ts' <= ts -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    match Hashtbl.find_opt t.versions addr with
-    | Some chain -> find chain
-    | None -> None
-
-  let value t ~addr = value_as_of t ~addr ~ts:max_int
-end

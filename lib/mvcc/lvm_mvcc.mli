@@ -62,9 +62,10 @@ module View : sig
       cross-shard transaction in flight (otherwise a partially-durable
       transaction would fold into the base below its timestamp).
       Installs each disk's truncation gate and observer
-      ({!Lvm_rvm.Ramdisk.set_truncate_gate}/[set_on_truncate]) — WAL
-      recycling is deferred (by at most one commit) until the view has
-      parsed the bytes it would consume. *)
+      ({!Lvm_rvm.Ramdisk.set_truncate_gate}/[set_on_truncate]): a WAL
+      is recycled only once the view has parsed every byte it holds.
+      Known defect (docs/MVCC.md): under the store this gate never
+      opens, so an attached shard's WAL is never recycled. *)
 
   val detach : t -> unit
   (** Uninstall the truncation hooks and invalidate all snapshots. *)
@@ -102,19 +103,3 @@ val read : snapshot -> key:int -> (int, Lvm.Lvm_error.t) result
 
 val release : snapshot -> unit
 val snapshot_ts : snapshot -> int
-
-(** Incremental applier over an LVM {e log segment} (not the WAL): the
-    consumer of {!Lvm.Log_reader.fold_from}. Each {!Applier.tick}
-    resumes from the last applied timestamp instead of rescanning sealed
-    extents from zero, building addr -> (ts, value) version chains. *)
-module Applier : sig
-  type t
-
-  val create : Lvm_vm.Kernel.t -> Lvm_vm.Segment.t -> t
-  val tick : t -> int
-  (** Apply records newer than {!last_ts}; returns how many. *)
-
-  val last_ts : t -> int
-  val value : t -> addr:int -> int option
-  val value_as_of : t -> addr:int -> ts:int -> int option
-end

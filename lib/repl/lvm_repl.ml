@@ -418,23 +418,14 @@ let replica_read t i key =
 
 (* {1 The protocol pump} *)
 
-let get32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFFFFFF
-
-(* Physical end of the record starting at physical [pos]: WAL header is
-   24 bytes with the payload length at +16 (see [Ramdisk]). *)
-let record_end_phys disk ~pos =
-  let hdr = Ramdisk.log_read disk ~off:pos ~len:24 in
-  pos + 24 + get32 hdr 16
-
 (* Largest record-aligned physical end in (start, limit], soft-capped
    at [frame_bytes] but always admitting at least one whole record. *)
 let chunk_end_phys disk ~start ~limit ~frame_bytes =
   let soft = min limit (start + frame_bytes) in
   let rec go e =
-    if e >= limit || e + 24 > limit then e
-    else
-      let ne = record_end_phys disk ~pos:e in
-      if ne <= soft || (e = start && ne <= limit) then go ne else e
+    match Ramdisk.record_end disk ~off:e with
+    | Some ne when ne <= soft || (e = start && ne <= limit) -> go ne
+    | Some _ | None -> e
   in
   go start
 

@@ -18,7 +18,6 @@ type t = {
   mutable forced_len : int; (* bytes known durable: forced to the disk *)
   mutable volatile_tail : bool; (* crash discards bytes past forced_len *)
   mutable charged_bytes : int; (* legacy cost-model accounting *)
-  mutable entries : int;
   mutable truncate_gate : (unit -> bool) option;
       (* replication low-water mark: recycling the WAL is forbidden
          while an attached replica has not acked its bytes *)
@@ -33,7 +32,7 @@ let create k ~size =
     Error.raise_
       (Error.Invalid { op = "Ramdisk.create"; reason = "size must be positive" });
   { k; image = Bytes.make size '\000'; log = Bytes.create 4096; log_len = 0;
-    forced_len = 0; volatile_tail = false; charged_bytes = 0; entries = 0;
+    forced_len = 0; volatile_tail = false; charged_bytes = 0;
     truncate_gate = None; on_truncate = None;
     c_forces = Lvm_obs.Ctx.counter (Kernel.obs k) "rvm.wal_forces" }
 
@@ -62,10 +61,12 @@ let entry_bytes = function
 
 (* {1 On-disk serialization}
 
-   Little-endian words: magic "WAL1", kind (0 data / 1 commit), txn, off,
-   payload length, FNV-1a checksum over (kind, txn, off, len, payload),
-   then the payload. Recovery fail-stops at the first record whose header
-   or checksum does not parse: anything past it is a torn tail. *)
+   Little-endian words: magic "WAL1", kind (0 data / 1 commit / 2
+   snapshot boundary / 3 encoded redo), txn, off, payload length, FNV-1a
+   checksum over (kind, txn, off, len, payload), then the payload.
+   [parse] below is the only reader of this layout and [redo] the only
+   decoder of payloads: recovery, truncation, log tailing, replica
+   accounting and record-boundary chunking all go through them. *)
 
 let wal_magic = 0x57414C31 (* "WAL1" *)
 let header_bytes = 24
@@ -112,6 +113,44 @@ let serialize entry =
   Bytes.blit payload 0 b header_bytes len;
   b
 
+(* The intact record at [pos] of the first [n] log bytes and the offset
+   just past it, or why it does not parse. *)
+let parse t ~n pos =
+  let data = t.log in
+  if n - pos < header_bytes then Error "short header"
+  else if get32 data pos <> wal_magic then Error "bad magic"
+  else
+    let kind = get32 data (pos + 4) in
+    let txn = get32 data (pos + 8) in
+    let off = get32 data (pos + 12) in
+    let len = get32 data (pos + 16) in
+    if len > n - pos - header_bytes then Error "short payload"
+    else
+      let payload = Bytes.sub data (pos + header_bytes) len in
+      if checksum ~kind ~txn ~off ~len payload <> get32 data (pos + 20) then
+        Error "checksum mismatch"
+      else
+        let next = pos + header_bytes + len in
+        match kind with
+        | 0 -> Ok (Data { txn; off; bytes = payload }, next)
+        | 1 -> Ok (Commit { txn }, next)
+        | 2 -> Ok (Snapshot { snap = txn }, next)
+        | 3 -> Ok (Encoded { txn; payload }, next)
+        | _ -> Error "bad record kind"
+
+(* Fold the intact records from [off] towards [n]: the accumulator, the
+   offset of the first byte not consumed, and why the walk stopped short
+   of [n], if it did. *)
+let walk t ~n ~off ~init ~f =
+  let rec go pos acc =
+    if pos >= n then (acc, pos, None)
+    else
+      match parse t ~n pos with
+      | Ok (e, next) -> go next (f acc ~off:pos e)
+      | Error why -> (acc, pos, Some why)
+  in
+  go off init
+
 let log_bytes t = t.log_len
 let forced_bytes t = t.forced_len
 
@@ -133,43 +172,13 @@ type scan = {
   s_torn : string option; (* why the scan fail-stopped, if it did *)
 }
 
-let scan t =
-  let n = t.log_len in
-  let data = t.log in
-  let rec go pos acc =
-    if pos = n then
-      { s_entries = List.rev acc; s_valid_end = pos; s_torn = None }
-    else if n - pos < header_bytes then stop pos acc "short header"
-    else if get32 data pos <> wal_magic then stop pos acc "bad magic"
-    else
-      let kind = get32 data (pos + 4) in
-      let txn = get32 data (pos + 8) in
-      let off = get32 data (pos + 12) in
-      let len = get32 data (pos + 16) in
-      let ck = get32 data (pos + 20) in
-      if len > n - pos - header_bytes then stop pos acc "short payload"
-      else
-        let payload = Bytes.sub data (pos + header_bytes) len in
-        if checksum ~kind ~txn ~off ~len payload <> ck then
-          stop pos acc "checksum mismatch"
-        else
-          let entry =
-            match kind with
-            | 0 -> Some (Data { txn; off; bytes = payload })
-            | 1 -> Some (Commit { txn })
-            | 2 -> Some (Snapshot { snap = txn })
-            | 3 -> Some (Encoded { txn; payload })
-            | _ -> None
-          in
-          match entry with
-          | None -> stop pos acc "bad record kind"
-          | Some e -> go (pos + header_bytes + len) (e :: acc)
-  and stop pos acc reason =
-    { s_entries = List.rev acc; s_valid_end = pos; s_torn = Some reason }
+let scan t ~n =
+  let rev, valid_end, torn =
+    walk t ~n ~off:0 ~init:[] ~f:(fun acc ~off:_ e -> e :: acc)
   in
-  go 0 []
+  { s_entries = List.rev rev; s_valid_end = valid_end; s_torn = torn }
 
-let entry_count t = List.length (scan t).s_entries
+let entry_count t = List.length (scan t ~n:t.log_len).s_entries
 let wal_bytes t = t.charged_bytes
 
 (* With a volatile tail (group commit), bytes appended since the last
@@ -181,41 +190,32 @@ let durable_len t =
 
 let durable_bytes t = durable_len t
 
-(* Incremental record walk for a log-tailing consumer (the MVCC applier):
-   parse intact records from [off] up to the durable frontier, stopping —
-   without error — at the first byte that does not parse as a whole
-   record. A half-appended tail is simply "not yet": the consumer resumes
-   from the returned offset once more bytes are appended/forced. *)
+(* A half-appended or unforced tail is "not yet" for a log-tailing
+   consumer, not an error: it resumes from the returned offset. *)
 let wal_fold t ~off ~init ~f =
-  let n = durable_len t in
-  let data = t.log in
-  let rec go pos acc =
-    if n - pos < header_bytes then (acc, pos)
-    else if get32 data pos <> wal_magic then (acc, pos)
-    else
-      let kind = get32 data (pos + 4) in
-      let txn = get32 data (pos + 8) in
-      let off' = get32 data (pos + 12) in
-      let len = get32 data (pos + 16) in
-      let ck = get32 data (pos + 20) in
-      if len > n - pos - header_bytes then (acc, pos)
-      else
-        let payload = Bytes.sub data (pos + header_bytes) len in
-        if checksum ~kind ~txn ~off:off' ~len payload <> ck then (acc, pos)
-        else
-          let entry =
-            match kind with
-            | 0 -> Some (Data { txn; off = off'; bytes = payload })
-            | 1 -> Some (Commit { txn })
-            | 2 -> Some (Snapshot { snap = txn })
-            | 3 -> Some (Encoded { txn; payload })
-            | _ -> None
-          in
-          match entry with
-          | None -> (acc, pos)
-          | Some e -> go (pos + header_bytes + len) (f acc ~off:pos e)
-  in
-  if off >= n then (init, off) else go off init
+  let acc, next, _ = walk t ~n:(durable_len t) ~off ~init ~f in
+  (acc, next)
+
+(* {1 Redo content} *)
+
+(* A Snapshot boundary is the commit marker of its snapshot id: Data
+   records written under a snapshot id whose boundary never hit the disk
+   are a torn snapshot and are never applied. An Encoded payload's record
+   addresses are image offsets; pre-image records carry no redo. *)
+let redo entry ~commit ~write =
+  match entry with
+  | Commit { txn } | Snapshot { snap = txn } -> commit txn
+  | Data { txn; off; bytes } -> write ~txn ~off bytes
+  | Encoded { txn; payload } ->
+    let records, _ =
+      Log_record.Codec.decode_fragment payload ~pos:0
+        ~len:(Bytes.length payload)
+    in
+    List.iter
+      (fun (r : Log_record.t) ->
+        if not r.pre_image then
+          write ~txn ~off:r.addr (Log_record.value_bytes r))
+      records
 
 (* {1 Log shipping}
 
@@ -231,27 +231,24 @@ let log_read t ~off ~len =
                             value = off });
   Bytes.sub t.log off len
 
-(* Recompute [entries]/[charged_bytes] for bytes received from a peer:
-   the payload is whole serialized records, so a header walk suffices. *)
-let charge_parsed t ~from =
-  let rec go pos =
-    if t.log_len - pos >= header_bytes && get32 t.log pos = wal_magic then begin
-      let kind = get32 t.log (pos + 4) in
-      let len = get32 t.log (pos + 16) in
-      if len <= t.log_len - pos - header_bytes then begin
-        t.entries <- t.entries + 1;
-        t.charged_bytes <-
-          t.charged_bytes + (if kind = 0 || kind = 3 then len + 12 else 8);
-        go (pos + header_bytes + len)
-      end
-    end
+let record_end t ~off =
+  match parse t ~n:t.log_len off with
+  | Ok (_, next) -> Some next
+  | Error _ -> None
+
+(* Charge the records from byte [from] on (received from a peer) at the
+   cost model's sizes. *)
+let charge_from t ~from =
+  let charged, _, _ =
+    walk t ~n:t.log_len ~off:from ~init:t.charged_bytes
+      ~f:(fun acc ~off:_ e -> acc + entry_bytes e)
   in
-  go from
+  t.charged_bytes <- charged
 
 let log_append_raw t payload =
   let from = t.log_len in
   append_raw t payload ~len:(Bytes.length payload);
-  charge_parsed t ~from;
+  charge_from t ~from;
   (* received bytes are durable on arrival: the replica's disk plays the
      role of the primary's forced log *)
   t.forced_len <- t.log_len
@@ -264,10 +261,9 @@ let load_state t ~image ~log =
            reason = "image size must match the disk" });
   Bytes.blit image 0 t.image 0 (size t);
   t.log_len <- 0;
-  t.entries <- 0;
   t.charged_bytes <- 0;
   append_raw t log ~len:(Bytes.length log);
-  charge_parsed t ~from:0;
+  charge_from t ~from:0;
   t.forced_len <- t.log_len
 
 (* {1 The write path, with fault injection} *)
@@ -275,26 +271,11 @@ let load_state t ~image ~log =
 let machine t = Kernel.machine t.k
 
 let wal_append t entry =
-  (match entry with
-  | Data { off; bytes; _ } ->
-    if off < 0 || off + Bytes.length bytes > size t then
-      Error.raise_
-        (Error.Out_of_range { op = "Ramdisk.wal_append"; what = "offset";
-                              value = off })
-  | Encoded { payload; _ } ->
-    let records, _ =
-      Log_record.Codec.decode_fragment payload ~pos:0
-        ~len:(Bytes.length payload)
-    in
-    List.iter
-      (fun (r : Log_record.t) ->
-        if r.Log_record.addr < 0 || r.Log_record.addr + r.Log_record.size > size t
-        then
-          Error.raise_
-            (Error.Out_of_range { op = "Ramdisk.wal_append"; what = "offset";
-                                  value = r.Log_record.addr }))
-      records
-  | Commit _ | Snapshot _ -> ());
+  redo entry ~commit:ignore ~write:(fun ~txn:_ ~off bytes ->
+      if off < 0 || off + Bytes.length bytes > size t then
+        Error.raise_
+          (Error.Out_of_range { op = "Ramdisk.wal_append"; what = "offset";
+                                value = off }));
   let legacy = entry_bytes entry in
   Kernel.compute t.k (Rvm_costs.disk_op_overhead
                       + (words legacy * Rvm_costs.disk_per_word));
@@ -319,13 +300,11 @@ let wal_append t entry =
     let pos = t.log_len + (((byte mod total) + total) mod total) in
     append_raw t record ~len:total;
     t.charged_bytes <- t.charged_bytes + legacy;
-    t.entries <- t.entries + 1;
     Bytes.set t.log pos
       (Char.chr (Char.code (Bytes.get t.log pos) lxor (1 lsl (bit land 7))))
   | Some _ | None ->
     append_raw t record ~len:total;
-    t.charged_bytes <- t.charged_bytes + legacy;
-    t.entries <- t.entries + 1
+    t.charged_bytes <- t.charged_bytes + legacy
 
 let wal_force t =
   ignore (Machine.fault_check (machine t) ~site:Lvm_fault.Fault.Ramdisk_force);
@@ -339,85 +318,50 @@ let should_truncate t =
   t.charged_bytes > Rvm_costs.truncate_threshold_bytes
   && (match t.truncate_gate with None -> true | Some g -> g ())
 
-(* A Snapshot boundary is the commit marker of its snapshot id: Data
-   records written under a snapshot id whose boundary never hit the disk
-   are a torn snapshot and are never applied. *)
-let committed_txns entries =
-  List.filter_map
-    (function
-      | Commit { txn } -> Some txn
-      | Snapshot { snap } -> Some snap
-      | Data _ | Encoded _ -> None)
-    entries
-
-(* The committed set of one scan, built once so that checking an entry is
-   a hash probe, not a walk of every marker. *)
-let committed_set entries =
-  let set = Int_table.create 64 in
-  List.iter (fun txn -> Int_table.replace set txn ()) (committed_txns entries);
-  set
-
-(* Apply committed Data records in append order. Records carry absolute
-   new values, so replay is idempotent. *)
-let image_write_sized image ~off ~size v =
-  if off >= 0 && off + size <= Bytes.length image then
-    match size with
-    | 4 -> Bytes.set_int32_le image off (Int32.of_int v)
-    | 2 -> Bytes.set_uint16_le image off (v land 0xFFFF)
-    | 1 -> Bytes.set_uint8 image off (v land 0xFF)
-    | _ -> ()
-
-let apply_committed ?committed image entries =
-  let committed =
-    match committed with Some c -> c | None -> committed_set entries
+(* Replay [entries] onto [image]: every redo write of a transaction
+   committed anywhere in [entries], in append order. Records carry
+   absolute new values, so replay is idempotent. Returns the committed
+   set, the number of commit markers and the number of writes applied. *)
+let replay image entries =
+  let committed = Int_table.create 64 in
+  let markers = ref 0 in
+  let commit txn =
+    incr markers;
+    Int_table.replace committed txn ()
   in
+  let no_write ~txn:_ ~off:_ _ = () in
+  List.iter (fun e -> redo e ~commit ~write:no_write) entries;
   let applied = ref 0 in
-  List.iter
-    (function
-      | Data { txn; off; bytes } when Int_table.mem committed txn ->
-        incr applied;
-        Bytes.blit bytes 0 image off (Bytes.length bytes)
-      | Encoded { txn; payload } when Int_table.mem committed txn ->
-        (* decode the codec stream; record addresses are image offsets *)
-        let records, _ =
-          Log_record.Codec.decode_fragment payload ~pos:0
-            ~len:(Bytes.length payload)
-        in
-        List.iter
-          (fun (r : Log_record.t) ->
-            if not r.Log_record.pre_image then begin
-              incr applied;
-              image_write_sized image ~off:r.Log_record.addr
-                ~size:r.Log_record.size r.Log_record.value
-            end)
-          records
-      | Data _ | Encoded _ | Commit _ | Snapshot _ -> ())
-    entries;
-  !applied
+  let write ~txn ~off bytes =
+    if Int_table.mem committed txn then begin
+      incr applied;
+      Bytes.blit bytes 0 image off (Bytes.length bytes)
+    end
+  in
+  List.iter (fun e -> redo e ~commit:ignore ~write) entries;
+  (committed, !markers, !applied)
 
 let rebuild_log t entries =
   t.log_len <- 0;
-  t.entries <- 0;
   t.charged_bytes <- 0;
   List.iter
     (fun e ->
       let record = serialize e in
       append_raw t record ~len:(Bytes.length record);
-      t.charged_bytes <- t.charged_bytes + entry_bytes e;
-      t.entries <- t.entries + 1)
+      t.charged_bytes <- t.charged_bytes + entry_bytes e)
     entries;
   (* a rebuilt log is durable in full (truncation and recovery both force
      their result) *)
   t.forced_len <- t.log_len
 
 let truncate t =
-  let s = scan t in
+  let s = scan t ~n:t.log_len in
   let applied_words =
     List.fold_left (fun acc e -> acc + words (entry_bytes e)) 0 s.s_entries
   in
   Kernel.compute t.k (Rvm_costs.truncate_base
                       + (applied_words * Rvm_costs.truncate_per_word));
-  let committed = committed_set s.s_entries in
+  let committed, _, _ = replay t.image s.s_entries in
   let uncommitted =
     List.filter
       (function
@@ -426,7 +370,6 @@ let truncate t =
         | Commit _ | Snapshot _ -> false)
       s.s_entries
   in
-  ignore (apply_committed ~committed t.image s.s_entries);
   let before = t.log_len in
   rebuild_log t uncommitted;
   match t.on_truncate with
@@ -450,16 +393,13 @@ let recovery_to_string r =
 
 let recovered_image t =
   let image = Bytes.copy t.image in
-  let saved = t.log_len in
-  t.log_len <- durable_len t;
-  ignore (apply_committed image (scan t).s_entries);
-  t.log_len <- saved;
+  ignore (replay image (scan t ~n:(durable_len t)).s_entries);
   image
 
 let recover t =
   (* drop the unforced tail first: those bytes were never durable *)
   t.log_len <- durable_len t;
-  let s = scan t in
+  let s = scan t ~n:t.log_len in
   let truncated = t.log_len - s.s_valid_end in
   (match s.s_torn with
   | Some _ when truncated > 0 ->
@@ -471,8 +411,7 @@ let recover t =
      appends — start from an intact record boundary. *)
   rebuild_log t s.s_entries;
   let image = Bytes.copy t.image in
-  let replayed = apply_committed image s.s_entries in
-  let committed = List.length (committed_txns s.s_entries) in
+  let _, committed, replayed = replay image s.s_entries in
   let report =
     { scanned = List.length s.s_entries; committed; replayed;
       truncated_bytes = truncated; torn = s.s_torn }

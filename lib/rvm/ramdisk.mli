@@ -14,7 +14,9 @@
     an FNV-1a checksum over (kind, txn, off, len, payload) — followed by
     the payload. Recovery fail-stops at the first record whose header or
     checksum does not parse, so a torn or corrupted tail is detected and
-    truncated rather than replayed.
+    truncated rather than replayed. This module is the only reader of
+    the format: consumers walk records with {!wal_fold}, decode their
+    redo with {!redo} and find record boundaries with {!record_end}.
 
     Crash semantics for testing: a crash discards nothing here — the RAM
     disk {e is} the durable store — while the in-memory recoverable
@@ -58,6 +60,16 @@ val size : t -> int
 val image_read : t -> off:int -> len:int -> Bytes.t
 (** Untimed image read (used at mapping and recovery time). *)
 
+val redo :
+  entry -> commit:(int -> unit) ->
+  write:(txn:int -> off:int -> Bytes.t -> unit) -> unit
+(** The redo content of one record. A [Commit] (or the [Snapshot]
+    boundary of its snapshot id) calls [commit txn]; a [Data] record
+    calls [write] once with its bytes, an [Encoded] one once per
+    decoded non-pre-image record, in order. [write ~txn ~off bytes]
+    gives the new value of image bytes [off .. off + length bytes - 1]
+    under transaction [txn]. *)
+
 val wal_append : t -> entry -> unit
 (** Serialize and append a redo or commit record, charging driver
     overhead and the copy at the cost model's record size. *)
@@ -89,7 +101,7 @@ val durable_bytes : t -> int
 val wal_fold :
   t -> off:int -> init:'a -> f:('a -> off:int -> entry -> 'a) -> 'a * int
 (** Untimed incremental walk for log-tailing consumers (the MVCC
-    applier): parse whole intact records starting at byte offset [off],
+    view): parse whole intact records starting at byte offset [off],
     never reading past {!durable_bytes}, and stop silently at the first
     byte that does not parse — a half-appended or unforced tail is "not
     yet", not an error. Returns the accumulator and the offset of the
@@ -145,10 +157,17 @@ val entry_count : t -> int
 val log_read : t -> off:int -> len:int -> Bytes.t
 (** Raw serialized log bytes, for shipping. *)
 
+val record_end : t -> off:int -> int option
+(** The offset just past the intact record that starts at byte [off],
+    or [None] when no whole record parses there (the end of the log, a
+    torn or corrupted record). Shippers cut frames at these boundaries. *)
+
 val log_append_raw : t -> Bytes.t -> unit
 (** Append bytes received from a peer. The payload must be whole
     serialized records; they count into {!entry_count}/{!wal_bytes} and
-    are durable on arrival ({!forced_bytes} advances with them). *)
+    are durable on arrival ({!forced_bytes} advances with them). Only
+    records that parse, checksum included, are charged into
+    {!wal_bytes}. *)
 
 val load_state : t -> image:Bytes.t -> log:Bytes.t -> unit
 (** Full-state resync: replace the image and the log wholesale (a

@@ -140,14 +140,6 @@ let write_word t ~off v =
   Kernel.compute t.k Rvm_costs.rlvm_write_overhead;
   Kernel.write_word t.k t.space (t.base + off) v
 
-let value_bytes (r : Log_record.t) =
-  let b = Bytes.create r.Log_record.size in
-  (match r.Log_record.size with
-  | 1 -> Bytes.set b 0 (Char.chr (r.Log_record.value land 0xFF))
-  | 2 -> Bytes.set_uint16_le b 0 (r.Log_record.value land 0xFFFF)
-  | _ -> Bytes.set_int32_le b 0 (Int32.of_int r.Log_record.value));
-  b
-
 let commit ?(pace = fun () -> ()) t =
   let id = match t.current with None -> raise No_transaction | Some i -> i in
   (* If the logger fell back to absorbing records into the default log
@@ -165,7 +157,7 @@ let commit ?(pace = fun () -> ()) t =
            capacity = Segment.size t.ls });
   (* Build redo records for the write-ahead log straight from the LVM
      log — the records are already there; no set_range bookkeeping. *)
-  (match Lvm_log.stream_version t.log with
+  (match Lvm_log.stream_version t.k t.ls with
   | Log_record.V0 ->
     Lvm.Log_reader.iter t.k t.ls ~f:(fun ~off:_ r ->
         pace ();
@@ -175,43 +167,38 @@ let commit ?(pace = fun () -> ()) t =
         | Some (seg, off)
           when Segment.id seg = Segment.id t.working && off < t.size ->
           Ramdisk.wal_append t.disk
-            (Ramdisk.Data { txn = id; off; bytes = value_bytes r })
+            (Ramdisk.Data { txn = id; off; bytes = Log_record.value_bytes r })
         | Some _ | None -> ())
   | Log_record.V1 ->
-    (* Encoded WAL path: collect the transaction's redo writes in log
-       order, squash repeated whole-word stores (epoch coalescing — only
-       the final value of each word needs to reach the WAL), and
-       serialize the survivors as one compact V1 stream. Record
-       timestamps are normalized to the transaction id: redo replay is
-       positional, and equal timestamps let sequential stores group into
-       runs and same-line rewrites into deltas. *)
-    let writes = ref [] in
+    (* Encoded WAL path: squash the transaction's redo writes in log
+       order (epoch coalescing — only the final value of each word needs
+       to reach the WAL) and serialize the survivors as one compact V1
+       stream. Record timestamps are normalized to the transaction id:
+       redo replay is positional, and equal timestamps let sequential
+       stores group into runs and same-line rewrites into deltas. *)
+    let squash = Squash.create ~depth:max_int in
+    let records = ref [] in
+    let keep rs = records := List.rev_append rs !records in
     Lvm.Log_reader.iter t.k t.ls ~f:(fun ~off:_ r ->
         pace ();
         match
           if r.Log_record.pre_image then None else Lvm.Log_reader.locate t.k r
         with
         | Some (seg, off)
-          when Segment.id seg = Segment.id t.working && off < t.size ->
-          writes :=
-            { Lvm_log.Coalescer.off; size = r.Log_record.size;
-              value = r.Log_record.value; timestamp = id }
-            :: !writes
+          when Segment.id seg = Segment.id t.working && off < t.size -> (
+          let w = { r with Log_record.addr = off; timestamp = id } in
+          match
+            Squash.write squash ~addr:off ~size:r.Log_record.size w ~flush:keep
+          with
+          | Squash.Bypass -> records := w :: !records
+          | Squash.Parked | Squash.Absorbed -> ())
         | Some _ | None -> ());
-    let squashed, _absorbed =
-      Lvm_log.Coalescer.squash (List.rev !writes)
-    in
-    if squashed <> [] then begin
-      let records =
-        List.map
-          (fun { Lvm_log.Coalescer.off; size; value; timestamp } ->
-            { Log_record.addr = off; value; size; pre_image = false;
-              timestamp })
-          squashed
-      in
-      let payload = Log_record.Codec.encode_stream records in
-      Ramdisk.wal_append t.disk (Ramdisk.Encoded { txn = id; payload })
-    end);
+    keep (Squash.drain squash);
+    if !records <> [] then
+      Ramdisk.wal_append t.disk
+        (Ramdisk.Encoded
+           { txn = id;
+             payload = Log_record.Codec.encode_stream (List.rev !records) }));
   Ramdisk.wal_append t.disk (Ramdisk.Commit { txn = id });
   (* group commit: force once per batch (group 1 forces right here) *)
   Lvm_log.Batcher.note_commit t.batcher;

@@ -115,8 +115,6 @@ let run ?hw p strategy =
     done
   done;
   let cycles = Kernel.time k - t0 in
-  (* settle the logger pipeline so the perf counters are complete *)
-  Logger.complete_pending (Machine.logger (Kernel.machine k));
   {
     cycles;
     per_event = float_of_int cycles /. float_of_int p.events;

@@ -70,7 +70,7 @@ let diet k ~log ~txns =
     if Lvm_obs.Snapshot.mem snap name then Lvm_obs.Snapshot.get snap name
     else 0
   in
-  let version = Lvm_log.stream_version log in
+  let version = Lvm_log.stream_version k (Lvm_log.segment log) in
   let absorbed = get "log.coalesce_absorbed" in
   let flushed = get "log.coalesce_flushed" in
   let bytes_logical = get "log.bytes_logical" in

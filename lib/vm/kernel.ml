@@ -207,7 +207,6 @@ let rec sync_log t ls =
   sync_log_pos t ls
 
 and sync_log_pos t ls =
-  Logger.complete_pending (logger t);
   match Segment.log_index ls with
   | None -> ()
   | Some index -> (

@@ -94,7 +94,7 @@ let test_stream_header_and_sniff () =
   Kernel.sync_log k ls;
   Alcotest.(check bool)
     "stream_version v1" true
-    (Lvm.Log_reader.stream_version k ls = Log_record.V1);
+    (Lvm_log.stream_version k ls = Log_record.V1);
   let s = stream_bytes k ls in
   Alcotest.(check bool)
     "sniffs v1" true
@@ -108,7 +108,7 @@ let test_stream_header_and_sniff () =
   Kernel.sync_log k0 ls0;
   Alcotest.(check bool)
     "v0 by default" true
-    (Lvm.Log_reader.stream_version k0 ls0 = Log_record.V0);
+    (Lvm_log.stream_version k0 ls0 = Log_record.V0);
   check "16-byte stride" 0 (Segment.write_pos ls0 mod Log_record.bytes);
   let s0 = stream_bytes k0 ls0 in
   Alcotest.(check bool)

@@ -320,16 +320,12 @@ let logger_fixture ?hw ?(spare_pages = []) ~data_page ~log_page () =
         Logger.Fixed));
   (clock, mem, logger, perf)
 
-(* the pipeline is lazy: settle it before inspecting records *)
-let settle = Logger.complete_pending
-
 let test_logger_single_record () =
   let clock, mem, logger, perf =
     logger_fixture ~data_page:1 ~log_page:2 ()
   in
   clock := 400;
   Logger.snoop logger ~paddr:0x1010 ~vaddr:0x40001010 ~size:4 ~value:0xFEED;
-  settle logger;
   check "one record" 1 perf.Perf.log_records;
   let r = Log_record.decode_from mem ~paddr:0x2000 in
   check "record addr is physical" 0x1010 r.Log_record.addr;
@@ -350,7 +346,6 @@ let test_logger_sequential_records () =
     Logger.snoop logger ~paddr:(0x1000 + (i * 4)) ~vaddr:(0x1000 + (i * 4))
       ~size:4 ~value:i
   done;
-  settle logger;
   check "ten records" 10 perf.Perf.log_records;
   for i = 0 to 9 do
     let r = Log_record.decode_from mem ~paddr:(0x2000 + (i * 16)) in
@@ -366,7 +361,6 @@ let test_logger_virtual_addresses_on_chip () =
   (* on-chip tables are keyed by virtual page *)
   Logger.load_pmt logger ~page:(Addr.page_number 0xABCD0) ~log_index:0;
   Logger.snoop logger ~paddr:0x1010 ~vaddr:0xABCD0 ~size:4 ~value:7;
-  settle logger;
   let r = Log_record.decode_from mem ~paddr:0x2000 in
   check "on-chip logs virtual address" 0xABCD0 r.Log_record.addr
 
@@ -381,12 +375,10 @@ let test_logger_page_crossing_fault () =
     clock := !clock + 50;
     Logger.snoop logger ~paddr:0x1000 ~vaddr:0x1000 ~size:4 ~value:i
   done;
-  settle logger;
   check "entry invalid after page crossing" 0
     (match Logger.log_entry logger ~index:0 with None -> 0 | Some _ -> 1);
   clock := !clock + 50;
   Logger.snoop logger ~paddr:0x1000 ~vaddr:0x1000 ~size:4 ~value:9999;
-  settle logger;
   check "log-addr fault taken" 1 perf.Perf.logging_faults_log_addr;
   check "no records lost" 0 perf.Perf.log_records_lost;
   let r = Log_record.decode_from mem ~paddr:0x3000 in
@@ -396,7 +388,6 @@ let test_logger_pmt_miss_drop () =
   let clock, _, logger, perf = logger_fixture ~data_page:1 ~log_page:2 () in
   clock := 10;
   Logger.snoop logger ~paddr:0x5000 ~vaddr:0x5000 ~size:4 ~value:1;
-  settle logger;
   check "pmt fault" 1 perf.Perf.logging_faults_pmt;
   check "record lost" 1 perf.Perf.log_records_lost;
   check "no record" 0 perf.Perf.log_records
@@ -460,7 +451,6 @@ let test_logger_indexed_mode () =
     clock := !clock + 50;
     Logger.snoop logger ~paddr:0x1000 ~vaddr:0x1000 ~size:4 ~value:(i * 11)
   done;
-  settle logger;
   check "five records" 5 perf.Perf.log_records;
   for i = 0 to 4 do
     check
@@ -474,7 +464,6 @@ let test_logger_direct_mapped_mode () =
   Logger.set_log_entry logger ~index:0 ~mode:Logger.Direct_mapped ~addr:0x2000;
   clock := 50;
   Logger.snoop logger ~paddr:0x1abc ~vaddr:0x1abc ~size:4 ~value:0x42;
-  settle logger;
   check "value at same offset in log page" 0x42
     (Physmem.read_word mem 0x2abc);
   (* the entry does not advance or invalidate in direct-mapped mode *)
@@ -509,7 +498,6 @@ let test_machine_logged_write_data_and_record () =
   Machine.write m ~paddr:0x1040 ~size:4 ~mode:Machine.Write_through
     ~logged:true 0x1234;
   check "data written" 0x1234 (Machine.read m ~paddr:0x1040 ~size:4);
-  settle (Machine.logger m);
   let r = Log_record.decode_from (Machine.mem m) ~paddr:0x2000 in
   check "record value" 0x1234 r.Log_record.value;
   check "record addr" 0x1040 r.Log_record.addr
@@ -578,7 +566,6 @@ let test_machine_on_chip_no_overload () =
     Machine.write m ~paddr:(0x1000 + (i * 4 mod Addr.page_size)) ~size:4
       ~mode:Machine.Write_through ~logged:true i
   done;
-  settle (Machine.logger m);
   let p = Machine.perf m in
   check "no overload interrupts on-chip" 0 p.Perf.overloads;
   check "all records emitted" 3000 p.Perf.log_records

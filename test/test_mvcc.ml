@@ -1,13 +1,10 @@
-(* Tests for log-derived MVCC snapshot reads: the incremental log
-   applier ([Log_reader.fold_from]), the store's versioned snapshot
-   surface ([Store.Snapshot]), 2PC atomicity at the consistent cut,
+(* Tests for log-derived MVCC snapshot reads: the store's versioned
+   snapshot surface ([Store.Snapshot]), 2PC atomicity at the consistent cut,
    route pinning across concurrent shard moves, the read-heavy workload
    modes, and a splitmix-seeded prefix-consistency property over random
    interleavings of writes, 2PC transactions, moves, snapshots and
    recovery. *)
 
-open Lvm_machine
-open Lvm_vm
 module Store = Lvm_store.Store
 module Workload = Lvm_store.Workload
 module Sm = Lvm_fault.Splitmix
@@ -34,96 +31,6 @@ let acquire st =
 
 let make ?(shards = 2) ?(keys = 32) () =
   Store.create { Store.Config.default with shards; keys; compute = 40 }
-
-(* {1 The incremental log applier} *)
-
-(* A little logged region whose write stream the applier tails. *)
-let applier_fixture () =
-  let page = Addr.page_size in
-  let k = Kernel.create () in
-  let sp = Kernel.create_space k in
-  let seg = Kernel.create_segment k ~size:page in
-  let region = Kernel.create_region k seg in
-  let log = Lvm_log.create ~extent_pages:1 k ~size:(4 * page) in
-  let ls = Lvm_log.segment log in
-  Kernel.set_region_log k region (Some ls);
-  let base = Kernel.bind k sp region in
-  (k, sp, log, ls, base)
-
-let test_fold_from () =
-  let k, sp, log, ls, base = applier_fixture () in
-  for i = 0 to 9 do
-    Kernel.write_word k sp (base + (4 * i)) (100 + i)
-  done;
-  Lvm_log.sync log;
-  let all, last =
-    Lvm.Log_reader.fold_from k ls ~ts:0 ~init:[] ~f:(fun acc ~off:_ r ->
-        r :: acc)
-  in
-  check "fold_from 0 sees everything" 10 (List.length all);
-  let max_ts =
-    List.fold_left (fun m r -> max m r.Log_record.timestamp) 0 all
-  in
-  check "returned frontier is the max timestamp" max_ts last;
-  (* resuming from the frontier finds nothing and keeps the frontier *)
-  let none, last' =
-    Lvm.Log_reader.fold_from k ls ~ts:last ~init:[] ~f:(fun acc ~off:_ r ->
-        r :: acc)
-  in
-  check "nothing newer than the frontier" 0 (List.length none);
-  check "frontier unchanged on an empty tick" last last';
-  (* records appended later are exactly the delta *)
-  Kernel.write_word k sp base 999;
-  Kernel.write_word k sp (base + 4) 888;
-  Lvm_log.sync log;
-  let fresh, last'' =
-    Lvm.Log_reader.fold_from k ls ~ts:last ~init:[] ~f:(fun acc ~off:_ r ->
-        r :: acc)
-  in
-  check "only the delta is revisited" 2 (List.length fresh);
-  check_bool "frontier advanced" true (last'' > last);
-  (* a mid-stream resume point: strictly-greater filtering *)
-  let some_ts = (List.nth (List.rev all) 4).Log_record.timestamp in
-  let tail, _ =
-    Lvm.Log_reader.fold_from k ls ~ts:some_ts ~init:0 ~f:(fun n ~off:_ r ->
-        if r.Log_record.timestamp <= some_ts then
-          Alcotest.fail "fold_from visited a record at or below ts";
-        n + 1)
-  in
-  check_bool "resumed mid-stream" true (tail >= 7)
-
-let test_applier_incremental () =
-  let k, sp, log, ls, base = applier_fixture () in
-  let a = Lvm_mvcc.Applier.create k ls in
-  Kernel.write_word k sp base 1;
-  Kernel.write_word k sp (base + 4) 2;
-  Lvm_log.sync log;
-  check "first tick applies both records" 2 (Lvm_mvcc.Applier.tick a);
-  check "an idle tick applies nothing" 0 (Lvm_mvcc.Applier.tick a);
-  (* learn the stream's record addresses and stamps *)
-  let recs =
-    List.rev (Lvm.Log_reader.fold k ls ~init:[] ~f:(fun acc ~off:_ r ->
-        r :: acc))
-  in
-  let r0 = List.nth recs 0 in
-  (match Lvm_mvcc.Applier.value a ~addr:r0.Log_record.addr with
-  | Some v -> check "applied value" 1 v
-  | None -> Alcotest.fail "applier lost the first record");
-  (* overwrite the first word: the applier only walks the delta, and
-     version history answers as-of reads below the rewrite *)
-  Kernel.write_word k sp base 7;
-  Lvm_log.sync log;
-  check "second tick applies only the rewrite" 1 (Lvm_mvcc.Applier.tick a);
-  (match Lvm_mvcc.Applier.value a ~addr:r0.Log_record.addr with
-  | Some v -> check "latest version wins" 7 v
-  | None -> Alcotest.fail "applier lost the rewrite");
-  (match
-     Lvm_mvcc.Applier.value_as_of a ~addr:r0.Log_record.addr
-       ~ts:r0.Log_record.timestamp
-   with
-  | Some v -> check "as-of read below the rewrite" 1 v
-  | None -> Alcotest.fail "as-of read found nothing");
-  check_bool "frontier is monotone" true (Lvm_mvcc.Applier.last_ts a > 0)
 
 (* {1 Snapshot basics} *)
 
@@ -412,11 +319,7 @@ let test_snapshot_prefix_prop () =
 
 let suites =
   [ ( "mvcc",
-      [ Alcotest.test_case "fold_from resumes from a timestamp" `Quick
-          test_fold_from;
-        Alcotest.test_case "incremental applier" `Quick
-          test_applier_incremental;
-        Alcotest.test_case "snapshot basics + result-typed reads" `Quick
+      [ Alcotest.test_case "snapshot basics + result-typed reads" `Quick
           test_snapshot_basics;
         Alcotest.test_case "2pc atomicity at the cut" `Quick
           test_2pc_cut_atomicity;

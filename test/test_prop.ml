@@ -256,7 +256,9 @@ let prop_bus_fairness rng size =
 
    Random transaction histories (some committed, some left open) must
    recover to exactly the committed prefix applied in append order; a
-   torn final record must be detected, truncated and never replayed. *)
+   torn final record must be detected, truncated and never replayed. The
+   incremental walk ([Ramdisk.wal_fold]) must agree with recovery's
+   scan on both logs. *)
 
 let words = 64
 
@@ -299,6 +301,32 @@ let prop_wal rng size =
     "scanned %d of %d records" report.Lvm_rvm.Ramdisk.scanned
     (List.length entries);
   expect (Bytes.equal image committed) "recovered image differs from model";
+  (* The incremental walk agrees with recovery's scan: from 0 it yields
+     exactly the scanned records, and resuming from any boundary it
+     returned yields the matching suffix. *)
+  let walk off =
+    let rev, stop =
+      Lvm_rvm.Ramdisk.wal_fold rd ~off ~init:[] ~f:(fun acc ~off e ->
+          (off, e) :: acc)
+    in
+    (List.rev rev, stop)
+  in
+  let walked, stop = walk 0 in
+  expect
+    (List.length walked = report.Lvm_rvm.Ramdisk.scanned
+     && List.map snd walked = entries)
+    "wal_fold from 0 yielded %d records, recovery scanned %d"
+    (List.length walked) report.Lvm_rvm.Ramdisk.scanned;
+  expect
+    (stop = Lvm_rvm.Ramdisk.log_bytes rd)
+    "wal_fold stopped at %d of %d intact bytes" stop
+    (Lvm_rvm.Ramdisk.log_bytes rd);
+  List.iteri
+    (fun i (off, _) ->
+      expect
+        (walk off = (List.filteri (fun j _ -> j >= i) walked, stop))
+        "wal_fold resumed at %d does not yield the suffix" off)
+    walked;
   (* Now tear the next append and crash. Any prefix of a record fails to
      parse (short header, short payload or checksum mismatch), so
      recovery must truncate the tail and land back on the same state. *)
@@ -317,7 +345,13 @@ let prop_wal rng size =
   | () -> failwith "torn write did not crash"
   | exception Lvm_fault.Fault.Crashed _ -> ());
   Lvm_machine.Machine.set_fault_plan (Lvm_vm.Kernel.machine k) None;
+  let _, torn_stop = walk 0 in
+  let torn_len = Lvm_rvm.Ramdisk.log_bytes rd in
   let image', report' = Lvm_rvm.Ramdisk.recover rd in
+  expect
+    (torn_stop = torn_len - report'.Lvm_rvm.Ramdisk.truncated_bytes)
+    "wal_fold stopped at %d on the torn log, recovery kept %d" torn_stop
+    (torn_len - report'.Lvm_rvm.Ramdisk.truncated_bytes);
   expect (report'.Lvm_rvm.Ramdisk.torn <> None) "torn tail not detected";
   expect
     (report'.Lvm_rvm.Ramdisk.truncated_bytes > 0)
