@@ -28,18 +28,10 @@
 
 type t
 
-module Config : sig
-  type t = {
-    log_pages : int;  (** Hardware-log provision, pages. *)
-    max_log_pages : int option;
-        (** Backpressure ceiling; [None] means [2 * log_pages]. *)
-    group : int;
-        (** Snapshot boundaries per WAL force (group commit). *)
-  }
-
-  val default : t
-  (** [{ log_pages = 32; max_log_pages = None; group = 1 }]. *)
-end
+(** The configuration shared with {!Lvm_rvm.Rlvm}: hardware-log
+    provision, backpressure ceiling and snapshot boundaries per WAL
+    force (group commit). *)
+module Config = Lvm_rvm.Durable.Config
 
 val map :
   Config.t -> Lvm_vm.Kernel.t -> Lvm_vm.Address_space.t -> size:int ->

@@ -6,8 +6,8 @@
     other write (sub-word or unaligned) first flushes what is parked, so
     writes to overlapping bytes never change their relative order.
 
-    The logger's coalescing buffer uses it with its depth bound; RLVM's
-    V1 commit path squashes a transaction's redo writes with no bound. *)
+    The logger's coalescing buffer uses it with its depth bound; the V1
+    WAL redo encoder (RLVM commits, FAMS snapshots) uses it unbounded. *)
 
 type 'w t
 (** Parked writes of type ['w], keyed by word address. *)

@@ -19,29 +19,14 @@ type t
 exception No_transaction
 exception Transaction_open
 
-(** Creation-time configuration, replacing the optional-argument form of
-    the deprecated {!create}; override {!Config.default} with the
-    functional-update syntax:
+(** Creation-time configuration, shared with [Lvm_fams] (see
+    {!Durable.Config} for the fields); override {!Durable.Config.default}
+    with the functional-update syntax:
 
     {[
       let r = Rlvm.make { Rlvm.Config.default with group = 4 } k sp ~size
     ]} *)
-module Config : sig
-  type t = {
-    log_pages : int;
-        (** Initial LVM log provision, pages (default 32). *)
-    max_log_pages : int option;
-        (** Backpressure ceiling for log extension; [None] means
-            [2 * log_pages]. *)
-    group : int;
-        (** Group-commit batch size: the RAM-disk WAL is forced once per
-            [group] commits (default 1 — force every commit,
-            bit-identical to the ungrouped implementation). *)
-  }
-
-  val default : t
-  (** [{ log_pages = 32; max_log_pages = None; group = 1 }]. *)
-end
+module Config = Durable.Config
 
 val make : Config.t -> Lvm_vm.Kernel.t -> Lvm_vm.Address_space.t ->
   size:int -> t

@@ -1,5 +1,5 @@
 (* Golden simulated cycles: exact cycle counts and machine counters of
-   four small fixed runs, pinned. The determinism suite only compares two
+   five small fixed runs, pinned. The determinism suite only compares two
    runs of one build; these values catch a change that moves a simulated
    cycle while claiming to touch host-side code only (memory layout,
    lookup structures, the replay loop). A change that means to move
@@ -90,6 +90,66 @@ let v1_roll_forward () =
     ("kept_records", Lvm.Log_reader.record_count k ls) ]
   @ counters [ Kernel.perf k ]
 
+(* The RAM-disk WAL a small fixed RLVM run and a small fixed FAMS run
+   leave behind, under the paper's V0 records and under V1 with
+   coalescing: the MD5 of the serialized log bytes, the MD5 of the image
+   recovery would rebuild from them, and the machine's clock. Pins what
+   the redo encoder writes, byte for byte. *)
+let wal_digests ~codec ~coalesce_depth =
+  let digest disk =
+    let open Lvm_rvm.Ramdisk in
+    [ Digest.to_hex
+        (Digest.bytes (log_read disk ~off:0 ~len:(log_bytes disk)));
+      Digest.to_hex (Digest.bytes (recovered_image disk)) ]
+  in
+  let kernel () =
+    let k = Lvm_vm.Kernel.create ~codec ~coalesce_depth () in
+    (k, Lvm_vm.Kernel.create_space k)
+  in
+  let rlvm =
+    let open Lvm_rvm in
+    let k, sp = kernel () in
+    let r = Rlvm.make { Rlvm.Config.default with group = 2 } k sp ~size:512 in
+    let txn ws =
+      Rlvm.begin_txn r;
+      List.iter (fun (w, v) -> Rlvm.write_word r ~off:(4 * w) v) ws
+    in
+    for i = 0 to 4 do
+      txn [ (i, i + 1); (i + 8, 0x80000000 lor i); (i, 0xFFFFFFFF - i) ];
+      Rlvm.commit r
+    done;
+    txn [ (3, 77); (40, 78) ];
+    Rlvm.abort r;
+    txn [ (20, 0xDEADBEEF) ];
+    Rlvm.crash_and_recover r;
+    for i = 0 to 2 do
+      txn [ (60 + i, i); (61 + i, 0x9000_0000 + i); (60 + i, 5 * i) ];
+      Rlvm.commit r
+    done;
+    Rlvm.flush_commits r;
+    digest (Rlvm.disk r) @ [ string_of_int (Lvm_vm.Kernel.max_time k) ]
+  in
+  let fams =
+    let ok = function
+      | Ok v -> v
+      | Error e -> Alcotest.fail (Lvm.Lvm_error.to_string e)
+    in
+    let k, sp = kernel () in
+    let f = ok (Lvm_fams.map Lvm_fams.Config.default k sp ~size:512) in
+    for s = 0 to 3 do
+      for i = 0 to 9 do
+        ok (Lvm_fams.write_word f ~off:(4 * ((7 * s) + (3 * i) mod 128))
+              (0x7FFF_FFFA + (s * i)))
+      done;
+      ignore (ok (Lvm_fams.snapshot f))
+    done;
+    ignore (ok (Lvm_fams.recover f));
+    ok (Lvm_fams.write_word f ~off:200 0xC0FFEE);
+    ignore (ok (Lvm_fams.snapshot f));
+    digest (Lvm_fams.disk f) @ [ string_of_int (Lvm_vm.Kernel.max_time k) ]
+  in
+  [ ("rlvm", rlvm); ("fams", fams) ]
+
 let pinned = Alcotest.(list (pair string int))
 
 (* Every value below was generated before the sparse-memory and
@@ -151,6 +211,26 @@ let test_v1_roll_forward () =
       ("dc_pages_scanned", 2) ]
     (v1_roll_forward ())
 
+(* Generated before RLVM and FAMS shared one redo encoder. *)
+let test_wal_digests () =
+  let pin = Alcotest.(list (pair string (list string))) in
+  Alcotest.check pin "V0 WAL"
+    [ ( "rlvm",
+        [ "ac1a192680553d27b2fef05206507de9";
+          "bd2c62bd12f683c4deca72e21baa95df"; "192718" ] );
+      ( "fams",
+        [ "7575361db5c7147e3052647493c17e87";
+          "2bb414ec65bdd96b24c0ad087da342d6"; "253489" ] ) ]
+    (wal_digests ~codec:Log_record.V0 ~coalesce_depth:0);
+  Alcotest.check pin "V1 + coalescing WAL"
+    [ ( "rlvm",
+        [ "ddddc88502931670e5a45eaa516315ba";
+          "bd2c62bd12f683c4deca72e21baa95df"; "182289" ] );
+      ( "fams",
+        [ "5259e2a9e7ac55bab1788ace564586b0";
+          "2bb414ec65bdd96b24c0ad087da342d6"; "254156" ] ) ]
+    (wal_digests ~codec:Log_record.V1 ~coalesce_depth:16)
+
 let suites =
   [ ( "golden",
       [ Alcotest.test_case "phold lvm 4-cpu cycles" `Quick test_phold_lvm_4cpu;
@@ -158,4 +238,6 @@ let suites =
           test_phold_copy_1cpu;
         Alcotest.test_case "tpca rlvm cycles + recovery" `Quick test_tpca_rlvm;
         Alcotest.test_case "v1 roll_forward cycles" `Quick
-          test_v1_roll_forward ] ) ]
+          test_v1_roll_forward;
+        Alcotest.test_case "rlvm + fams wal bytes" `Quick test_wal_digests ]
+    ) ]
