@@ -664,6 +664,7 @@ let store_cmd =
       open_gap queue_cap read_heavy snap_readers as_of json metrics =
     if shards <= 0 then `Error (false, "--shards must be positive")
     else if txns <= 0 then `Error (false, "--txns must be positive")
+    else if writes <= 0 then `Error (false, "--writes must be positive")
     else if cross < 0 || cross > 100 then
       `Error (false, "--cross must be a percentage")
     else if group <= 0 then `Error (false, "--group must be positive")

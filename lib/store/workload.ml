@@ -284,12 +284,14 @@ let start_coroutine f =
                 Suspended (cpu, k))
           | _ -> None) }
 
-let keys_of_entry entry = List.map fst entry.writes @ entry.reads
+(* Fold over an entry's keys, writes then reads, without building a
+   list. A key may repeat; every caller is idempotent in it. *)
+let rec fold_write_keys f acc = function
+  | [] -> acc
+  | (key, _) :: rest -> fold_write_keys f (f acc key) rest
 
-(* Route-aware: a moved bucket changes which worker claims the key. *)
-let shards_of_entry store entry =
-  List.sort_uniq compare
-    (List.map (Store.shard_of_key store) (keys_of_entry entry))
+let fold_keys f acc entry =
+  List.fold_left f (fold_write_keys f acc entry.writes) entry.reads
 
 (* What a shard CPU burns per scheduler step while its next transaction
    waits for a shard a cross-shard transaction holds — 2PC blocking,
@@ -345,11 +347,12 @@ let run store spec =
     d := shard :: !d;
     phase2s.(shard) <- phase2s.(shard) @ [ run ]
   in
-  let home_of entry =
-    List.fold_left
-      (fun acc key -> min acc (Store.shard_of_key store key))
-      (shards - 1) (keys_of_entry entry)
-  in
+  (* Route-aware: a moved bucket changes which worker claims the key.
+     The per-key closures are built once, not per call. *)
+  let min_shard acc key = min acc (Store.shard_of_key store key) in
+  let home_of entry = fold_keys min_shard (shards - 1) entry in
+  let any_busy held key = held || busy.(Store.shard_of_key store key) in
+  let claim () key = busy.(Store.shard_of_key store key) <- true in
   (* {2 Snapshot readers}
 
      In [Snapshot] read mode the reads never enter a shard queue: they
@@ -428,11 +431,15 @@ let run store spec =
       | _ -> Queue.add entry queues.(h)
   in
   let transfer_arrivals () =
-    let wall = Kernel.max_time k in
-    while !next_arrival < n_entries && entries.(!next_arrival).arrive <= wall do
-      enqueue entries.(!next_arrival);
-      incr next_arrival
-    done
+    if !next_arrival < n_entries then begin
+      let wall = Kernel.max_time k in
+      while
+        !next_arrival < n_entries && entries.(!next_arrival).arrive <= wall
+      do
+        enqueue entries.(!next_arrival);
+        incr next_arrival
+      done
+    end
   in
   (* {2 The split engine} *)
   let splitter =
@@ -471,8 +478,8 @@ let run store spec =
   (* One move step, run inline between scheduler steps whenever both
      endpoint shards are free — the copy interleaves with transaction
      execution at batch granularity instead of stopping the world. *)
+  let free m = (not busy.(m.mv_from)) && not busy.(m.mv_to) in
   let drive_move () =
-    let free m = (not busy.(m.mv_from)) && not busy.(m.mv_to) in
     match !stage with
     | Mv_none -> ()
     | Mv_begin (m, buckets) when free m ->
@@ -520,9 +527,11 @@ let run store spec =
     match job with
     | Phase2 s -> busy.(s) <- false
     | Txn (entry, detached) -> (
-      List.iter
-        (fun s -> if not (List.mem s !detached) then busy.(s) <- false)
-        (shards_of_entry store entry);
+      fold_keys
+        (fun () key ->
+          let s = Store.shard_of_key store key in
+          if not (List.mem s !detached) then busy.(s) <- false)
+        () entry;
       if entry.writes = [] then
         (* Worker-mode read-only entry: its reads were counted (or
            failed) one by one inside its coroutine. *)
@@ -566,6 +575,43 @@ let run store spec =
     | Suspended (cpu, cont) -> states.(i) <- Running (job, cpu, cont)
     | Done r -> finish i job r
   in
+  (* Nothing at the loop top can act: every entry has arrived, no read
+     waits for a reader, no move is in flight and the advisor is not
+     due. Until some task steps, nothing but a spinning worker's own
+     clock can change. *)
+  let quiescent () =
+    !next_arrival >= n_entries
+    && Queue.is_empty read_stream
+    && !stage = Mv_none
+    && (match spec.split with
+       | Some scfg ->
+         !moves_done >= scfg.max_moves || !completions < scfg.check_every
+       | None -> true)
+  in
+  (* The horizon spin. Under [quiescent], a blocked worker [i] spins
+     and nothing else moves, so while its clock is below every other
+     live task's key it stays [better]'s pick whatever the tie rules.
+     It spins in place up to that horizon: the same rounds of
+     [blocked_spin_cycles], each its own [Kernel.compute], that one
+     scheduler visit per spin would run. At the horizon the loop picks
+     again, so a tie is settled by [better] as before. A task keyed on
+     [i]'s own CPU puts the horizon at [i]'s clock: no spin. *)
+  let spin_to_horizon i =
+    let horizon = ref max_int in
+    for j = 0 to shards - 1 do
+      if j <> i && live j then
+        horizon := min !horizon (Kernel.cpu_time k ~cpu:(next_cpu j))
+    done;
+    if !horizon = max_int then
+      (* No task is left to release the held shard. *)
+      Error.raise_
+        (Error.Invalid
+           { op = "Workload.run";
+             reason = "blocked worker has no live task to unblock it" });
+    while Kernel.cpu_time k ~cpu:i < !horizon do
+      Kernel.compute k blocked_spin_cycles
+    done
+  in
   let step i =
     match states.(i) with
     | Running (job, _, cont) -> (
@@ -598,17 +644,17 @@ let run store spec =
           incr moved;
           parked := entry :: !parked
         | None ->
-          let parts = shards_of_entry store entry in
-          if List.exists (fun s -> busy.(s)) parts then begin
+          if fold_keys any_busy false entry then begin
             (* A shard this transaction needs is held (by a cross-shard
                transaction, or this is a cross-shard transaction and a
                participant is mid-commit): spin until it frees up. *)
             Kernel.set_cpu k i;
-            Kernel.compute k blocked_spin_cycles
+            Kernel.compute k blocked_spin_cycles;
+            if quiescent () then spin_to_horizon i
           end
           else begin
             ignore (Queue.pop queues.(i));
-            List.iter (fun s -> busy.(s) <- true) parts;
+            fold_keys claim () entry;
             let detached = ref [] in
             detached_of_current := detached;
             launch i
@@ -683,7 +729,10 @@ let run store spec =
          it one step per round. A copy that cannot progress with the
          whole system idle never will. *)
       if stalled > 10_000 then
-        failwith "Workload.run: shard move cannot make progress";
+        Error.raise_
+          (Error.Invalid
+             { op = "Workload.run";
+               reason = "shard move cannot make progress" });
       loop (stalled + 1)
     end
     else if !parked <> [] then begin

@@ -177,4 +177,7 @@ type result = {
 
 val run : Store.t -> spec -> result
 (** Generate, enqueue and execute the whole mix; deterministic for a
-    given store configuration and spec. *)
+    given store configuration and spec. Raises [Lvm_vm.Error.Lvm_error
+    (Invalid { op = "Workload.run"; _ })] when the run can make no more
+    progress: a shard move stalls with nothing else to run, or a worker
+    waits on a held shard that no live task can release. *)

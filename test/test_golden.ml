@@ -150,6 +150,92 @@ let wal_digests ~codec ~coalesce_depth =
   in
   [ ("rlvm", rlvm); ("fams", fams) ]
 
+(* The sharded store's workload driver: every [Workload.result] field
+   and every CPU's final clock for a few small fixed specs, and where a
+   [Plan.crash_at] sweep over a cross-shard-heavy run lands its crashes.
+   Pins the scheduler's order of work, spin by spin. *)
+module Store = Lvm_store.Store
+module Workload = Lvm_store.Workload
+
+let schedule_specs =
+  let w = Workload.default in
+  [ ( "2pc uniform",
+      { Store.Config.default with shards = 4; keys = 4096 },
+      { w with txns = 300; seed = 1000 } );
+    ( "cross 50 group 3",
+      { Store.Config.default with shards = 4; group = 3 },
+      { w with txns = 300; cross_pct = 50 } );
+    ( "open loop queue cap",
+      { Store.Config.default with shards = 4 },
+      { w with
+        txns = 300;
+        arrival =
+          Workload.Open
+            { mean_gap = 20000; burst_every = 32; burst_len = 8;
+              burst_gap = 2000 };
+        queue_cap = Some 4 } );
+    ( "zipf 1.1 split",
+      { Store.Config.default with shards = 4; keys = 1024 },
+      { w with
+        txns = 300;
+        dist = Workload.Zipfian { theta = 1.1 };
+        split =
+          Some
+            { Workload.default_split with
+              check_every = 24; batch = 16; max_moves = 4 } } );
+    ( "read-heavy snapshot readers",
+      { Store.Config.default with shards = 4; keys = 1024; group = 16 },
+      { w with
+        txns = 600; cross_pct = 0; writes_per_txn = 1;
+        dist = Workload.Zipfian { theta = 1.1 };
+        read_pct = 95; read_mode = Workload.Snapshot; readers = 4 } ) ]
+
+let schedule (config, spec) =
+  let st = Store.create config in
+  let r = Workload.run st spec in
+  let k = Store.kernel st in
+  [ ("executed", r.Workload.executed);
+    ("reads", r.Workload.reads);
+    ("cross", r.Workload.cross);
+    ("shed", r.Workload.shed);
+    ("failed", r.Workload.failed);
+    ("requeued", r.Workload.requeued);
+    ("moved", r.Workload.moved);
+    ("dropped", r.Workload.dropped);
+    ("splits", r.Workload.splits);
+    ("merges", r.Workload.merges);
+    ("wall_cycles", r.Workload.wall_cycles);
+    ( "cycles_per_txn_milli",
+      int_of_float (Float.round (r.Workload.cycles_per_txn *. 1000.)) ) ]
+  @ List.concat
+      (Array.to_list
+         (Array.mapi
+            (fun i (s : Workload.shard_stat) ->
+              [ (Printf.sprintf "shard%d.txns" i, s.txns);
+                (Printf.sprintf "shard%d.cycles" i, s.cycles) ])
+            r.Workload.per_shard))
+  @ List.init (Lvm_vm.Kernel.cpus k) (fun cpu ->
+        (Printf.sprintf "cpu%d.clock" cpu, Lvm_vm.Kernel.cpu_time k ~cpu))
+
+(* Each point: the armed cycle, then the cycle and CPU the crash hit. *)
+let crash_points () =
+  let config = { Store.Config.default with shards = 4 } in
+  let spec = { Workload.default with txns = 200; cross_pct = 50 } in
+  let total =
+    let st = Store.create config in
+    ignore (Workload.run st spec);
+    Lvm_vm.Kernel.max_time (Store.kernel st)
+  in
+  List.init 8 (fun i ->
+      let at = 1 + (i * (total - 1) / 7) in
+      let st = Store.create config in
+      let m = Lvm_vm.Kernel.machine (Store.kernel st) in
+      Lvm_machine.Machine.set_fault_plan m (Some (Lvm_fault.Plan.crash_at at));
+      match Workload.run st spec with
+      | _ -> (at, -1, -1)
+      | exception Lvm_fault.Fault.Crashed { cycle; _ } ->
+        (at, cycle, Lvm_machine.Machine.current_cpu m))
+
 let pinned = Alcotest.(list (pair string int))
 
 (* Every value below was generated before the sparse-memory and
@@ -231,6 +317,68 @@ let test_wal_digests () =
           "2bb414ec65bdd96b24c0ad087da342d6"; "254156" ] ) ]
     (wal_digests ~codec:Log_record.V1 ~coalesce_depth:16)
 
+(* Generated before a blocked worker spun to its scheduling horizon in
+   one visit. *)
+let test_store_schedules () =
+  List.iter2
+    (fun (name, config, spec) expected ->
+      Alcotest.check pinned name expected (schedule (config, spec)))
+    schedule_specs
+    [ [ ("executed", 300); ("reads", 0); ("cross", 61); ("shed", 0);
+        ("failed", 0); ("requeued", 0); ("moved", 0); ("dropped", 0);
+        ("splits", 0); ("merges", 0); ("wall_cycles", 6947269);
+        ("cycles_per_txn_milli", 23157563); ("shard0.txns", 87);
+        ("shard0.cycles", 6246441); ("shard1.txns", 96);
+        ("shard1.cycles", 6947269); ("shard2.txns", 67);
+        ("shard2.cycles", 6695417); ("shard3.txns", 50);
+        ("shard3.cycles", 6573138); ("cpu0.clock", 6246441);
+        ("cpu1.clock", 6947269); ("cpu2.clock", 6695417);
+        ("cpu3.clock", 6573138) ];
+      [ ("executed", 300); ("reads", 0); ("cross", 165); ("shed", 0);
+        ("failed", 0); ("requeued", 0); ("moved", 0); ("dropped", 0);
+        ("splits", 0); ("merges", 0); ("wall_cycles", 9606491);
+        ("cycles_per_txn_milli", 32021637); ("shard0.txns", 116);
+        ("shard0.cycles", 9606491); ("shard1.txns", 95);
+        ("shard1.cycles", 9565101); ("shard2.txns", 56);
+        ("shard2.cycles", 9404703); ("shard3.txns", 33);
+        ("shard3.cycles", 9484910); ("cpu0.clock", 9606491);
+        ("cpu1.clock", 9565101); ("cpu2.clock", 9404703);
+        ("cpu3.clock", 9484910) ];
+      [ ("executed", 197); ("reads", 0); ("cross", 53); ("shed", 0);
+        ("failed", 0); ("requeued", 0); ("moved", 0); ("dropped", 103);
+        ("splits", 0); ("merges", 0); ("wall_cycles", 4483979);
+        ("cycles_per_txn_milli", 22761315); ("shard0.txns", 51);
+        ("shard0.cycles", 4437528); ("shard1.txns", 54);
+        ("shard1.cycles", 4480774); ("shard2.txns", 50);
+        ("shard2.cycles", 4483979); ("shard3.txns", 42);
+        ("shard3.cycles", 4400653); ("cpu0.clock", 4437528);
+        ("cpu1.clock", 4480774); ("cpu2.clock", 4483979);
+        ("cpu3.clock", 4400653) ];
+      [ ("executed", 300); ("reads", 0); ("cross", 270); ("shed", 0);
+        ("failed", 0); ("requeued", 0); ("moved", 3); ("dropped", 0);
+        ("splits", 4); ("merges", 0); ("wall_cycles", 24296479);
+        ("cycles_per_txn_milli", 80988263); ("shard0.txns", 190);
+        ("shard0.cycles", 24295016); ("shard1.txns", 80);
+        ("shard1.cycles", 24295072); ("shard2.txns", 25);
+        ("shard2.cycles", 24215091); ("shard3.txns", 5);
+        ("shard3.cycles", 24296479); ("cpu0.clock", 24295016);
+        ("cpu1.clock", 24295072); ("cpu2.clock", 24215091);
+        ("cpu3.clock", 24296479) ];
+      [ ("executed", 37); ("reads", 563); ("cross", 0); ("shed", 0);
+        ("failed", 0); ("requeued", 0); ("moved", 0); ("dropped", 0);
+        ("splits", 0); ("merges", 0); ("wall_cycles", 120645);
+        ("cycles_per_txn_milli", 3260676); ("shard0.txns", 22);
+        ("shard0.cycles", 120645); ("shard1.txns", 6);
+        ("shard1.cycles", 51918); ("shard2.txns", 4); ("shard2.cycles", 48169);
+        ("shard3.txns", 5); ("shard3.cycles", 50078); ("cpu0.clock", 120645);
+        ("cpu1.clock", 51918); ("cpu2.clock", 48169); ("cpu3.clock", 50078) ] ];
+  Alcotest.(check (list (triple int int int)))
+    "cross 50 crash points"
+    [ (1, 200, 0); (1065891, 1098612, 1); (2131782, 2167779, 0);
+      (3197672, 3202142, 1); (4263563, 4291265, 2); (5329453, 5347403, 0);
+      (6395344, 6400160, 0); (7461235, 7461235, 1) ]
+    (crash_points ())
+
 let suites =
   [ ( "golden",
       [ Alcotest.test_case "phold lvm 4-cpu cycles" `Quick test_phold_lvm_4cpu;
@@ -239,5 +387,7 @@ let suites =
         Alcotest.test_case "tpca rlvm cycles + recovery" `Quick test_tpca_rlvm;
         Alcotest.test_case "v1 roll_forward cycles" `Quick
           test_v1_roll_forward;
-        Alcotest.test_case "rlvm + fams wal bytes" `Quick test_wal_digests ]
+        Alcotest.test_case "rlvm + fams wal bytes" `Quick test_wal_digests;
+        Alcotest.test_case "store workload schedules" `Quick
+          test_store_schedules ]
     ) ]
