@@ -34,12 +34,9 @@ let open_db k sp =
    changed cross to the "disk"), then truncate it. *)
 let checkpoint k seg ls =
   let applied = ref 0 in
-  Lvm.Log_reader.iter k ls ~f:(fun ~off:_ r ->
-      match Lvm.Log_reader.locate k r with
-      | Some (s, off) when Segment.id s = Segment.id seg ->
-        Backing_store.write_word db_file ~off r.Lvm_machine.Log_record.value;
-        incr applied
-      | Some _ | None -> ());
+  Lvm.Log_reader.iter_in k ls ~seg ~f:(fun ~rec_off:_ ~off r ->
+      Backing_store.write_word db_file ~off r.Lvm_machine.Log_record.value;
+      incr applied);
   Lvm_log.truncate (Lvm_log.of_segment k ls)
     ~keep_from:(Lvm.Log_reader.length k ls);
   !applied

@@ -138,18 +138,11 @@ let propagate_log t =
   let ls = Option.get t.ls in
   let words = ref 0 in
   let stop =
-    Lvm.Checkpoint.roll_forward t.k ~log:ls ~from:0
-      ~apply:(fun ~off:_ r ->
-        (match
-           if r.Log_record.pre_image then None
-           else Lvm.Log_reader.locate t.k r
-         with
-        | Some (seg, off) when Segment.id seg = Segment.id t.seg ->
-          incr words;
-          apply_to_consumer t ~off ~size:r.Log_record.size
-            r.Log_record.value
-        | Some _ | None -> ());
-        `Continue)
+    Lvm.Checkpoint.replay t.k ~log:ls ~from:0 ~seg:t.seg
+      ~f:(fun ~off ~paddr:_ ~size ~value ->
+        incr words;
+        apply_to_consumer t ~off ~size value;
+        true)
   in
   Lvm_log.truncate (Lvm_log.of_segment t.k ls) ~keep_from:stop;
   Kernel.compute t.k (message_overhead + (!words * wire_per_word));

@@ -10,38 +10,42 @@
 type kernel = Lvm_vm.Kernel.t
 type segment = Lvm_vm.Segment.t
 
-val apply_record :
-  kernel -> target:segment -> off:int -> Lvm_machine.Log_record.t -> unit
-(** Write the record's value at byte offset [off] of [target], charged as
-    an ordinary cached (unlogged) write. *)
+val replay :
+  kernel -> log:segment -> from:int -> seg:segment ->
+  f:(off:int -> paddr:int -> size:int -> value:int -> bool) -> int
+(** The located replay every roll-forward is built on (Section 2.4: a
+    rollback resets the deferred copy, then rolls forward over the log).
+    Scan records from byte offset [from], charging timed record reads,
+    skip pre-image records, and hand [f] each write that lands in [seg]:
+    its byte offset [off] in [seg], the physical address [paddr] of that
+    byte, its [size] and [value]. Stops when [f] answers [false] or the
+    log ends, and returns the offset of the first record not consumed
+    (the record [f] refused is not consumed).
 
-val roll_forward :
-  kernel -> log:segment -> from:int ->
-  apply:(off:int -> Lvm_machine.Log_record.t -> [ `Continue | `Stop ]) -> int
-(** Scan records from byte offset [from], charging timed record reads, and
-    hand each to [apply] until it answers [`Stop] or the log ends. Returns
-    the byte offset of the first unconsumed record (the [`Stop] record is
-    not consumed). *)
+    Under [V0] with the prototype logger the scan builds no record and
+    allocates nothing per record: the fields are read straight from
+    memory, and the owner is checked against the frame map's stored
+    entry. Under [V1] the scan goes container by container: one charged
+    pass per container, and a refusal anywhere in a container returns
+    the container's start. *)
 
 val rollback :
   kernel -> space:Lvm_vm.Address_space.t -> working:segment ->
   working_region:Lvm_vm.Region.t -> base:int -> log:segment ->
-  upto:(Lvm_machine.Log_record.t -> (segment * int) option -> bool) -> unit
+  upto:(int -> int -> bool) -> unit
 (** Roll the working segment back: disable the region's logging, reset the
-    deferred copy over the region's range, re-apply logged updates while
-    [upto record at] holds, truncate the abandoned log suffix, re-enable
-    logging. [at] is the record's {!Log_reader.locate} result, computed
-    once per record and shared with the apply step. [base] is the
-    region's bound address in [space]. *)
+    deferred copy over the region's range, re-apply logged updates to
+    [working] while [upto off value] holds ([off] is the byte offset the
+    update writes, [value] its value), truncate the abandoned log suffix,
+    re-enable logging. [base] is the region's bound address in [space]. *)
 
 val cult :
   kernel -> working:segment -> checkpoint:segment -> log:segment ->
-  upto:(Lvm_machine.Log_record.t -> (segment * int) option -> bool) -> int
-(** Checkpoint update and log truncation: apply each leading record
-    satisfying [upto record at] to the checkpoint segment at the offset
-    the record names in the working segment, then truncate the consumed
-    prefix. [at] is as for {!rollback}. Returns the number of records
-    applied. *)
+  upto:(int -> int -> bool) -> int
+(** Checkpoint update and log truncation: apply each leading update of
+    [working] satisfying [upto off value] to the checkpoint segment at the
+    same offset, then truncate the consumed prefix. Returns the number of
+    records applied. *)
 
 val cult_all : kernel -> working:segment -> checkpoint:segment ->
   log:segment -> int

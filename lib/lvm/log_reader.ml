@@ -63,22 +63,8 @@ let charge_read k ls ~off ~len =
   for w = 0 to ((len + Addr.word_size - 1) / Addr.word_size) - 1 do
     Machine.charge_read m
       ~paddr:(Kernel.paddr_of k ls ~off:(off + (w * Addr.word_size)))
+      ~words:1
   done
-
-(* The four timed word reads of the V0 record at [paddr], then its
-   (untimed) decode. *)
-let read_v0_timed m ~paddr =
-  Machine.charge_read m ~paddr ~words:(Log_record.bytes / Addr.word_size);
-  Log_record.decode_from (Machine.mem m) ~paddr
-
-let read_at_timed k ls ~off =
-  match Lvm_log.stream_version k ls with
-  | Log_record.V0 ->
-    read_v0_timed (Kernel.machine k) ~paddr:(Kernel.paddr_of k ls ~off)
-  | Log_record.V1 ->
-    let r = read_at k ls ~off in
-    charge_read k ls ~off ~len:Log_record.bytes;
-    r
 
 let map k space ls =
   if Segment.kind ls <> Segment.Log then
@@ -108,22 +94,21 @@ let walk_v0 ?(start = 0) k ls ~f =
      reads through a recycled extent's old mapping. *)
   let len = ref (length k ls) in
   let generation = ref (Segment.generation ls) in
-  let page = ref (-1) in
+  let page_start = ref (-1) (* log offset of the cached page; -1: none *) in
   let page_paddr = ref 0 in
   let rec go off =
     if Segment.generation ls <> !generation then begin
       generation := Segment.generation ls;
-      page := -1;
+      page_start := -1;
       len := min !len (Segment.write_pos ls)
     end;
     if off + Log_record.bytes > !len then off
     else begin
-      let p = off / Addr.page_size in
-      if p <> !page then begin
-        page := p;
-        page_paddr := Kernel.paddr_of k ls ~off:(p * Addr.page_size)
+      if !page_start < 0 || off - !page_start >= Addr.page_size then begin
+        page_start := off - Addr.page_offset off;
+        page_paddr := Kernel.paddr_of k ls ~off:!page_start
       end;
-      if f ~off ~paddr:(!page_paddr + Addr.page_offset off) then
+      if f ~off ~paddr:(!page_paddr + (off - !page_start)) then
         go (off + Log_record.bytes)
       else off
     end
@@ -154,18 +139,50 @@ let iter k ls ~f = fold k ls ~init:() ~f:(fun () ~off r -> f ~off r)
 let to_list k ls =
   List.rev (fold k ls ~init:[] ~f:(fun acc ~off:_ r -> r :: acc))
 
-let locate k (r : Log_record.t) =
+(* The frame map's stored entry, checked in place: no (segment, offset)
+   pair is built per record. *)
+let frame_offset k ~seg ~paddr =
+  match Kernel.owner_of_frame k ~frame:(Addr.page_number paddr) with
+  | Some (s, page) when Segment.id s = Segment.id seg ->
+    (page * Addr.page_size) + Addr.page_offset paddr
+  | Some _ | None -> -1
+
+(* On-chip records carry virtual addresses (Section 4.6). *)
+let mapping_offset k ~seg ~vaddr =
+  match Kernel.find_mapping k ~vaddr with
+  | Some (s, off) when Segment.id s = Segment.id seg -> off
+  | Some _ | None -> -1
+
+let physical_addresses k =
   match Logger.hw (Machine.logger (Kernel.machine k)) with
-  | Logger.Prototype -> (
-    match
-      Kernel.owner_of_frame k ~frame:(Addr.page_number r.Log_record.addr)
-    with
-    | None -> None
-    | Some (seg, page) ->
-      Some (seg, (page * Addr.page_size) + Addr.page_offset r.Log_record.addr))
-  | Logger.On_chip ->
-    (* on-chip records carry virtual addresses (Section 4.6) *)
-    Kernel.find_mapping k ~vaddr:r.Log_record.addr
+  | Logger.Prototype -> true
+  | Logger.On_chip -> false
+
+let seg_offset k ~seg ~addr =
+  if physical_addresses k then frame_offset k ~seg ~paddr:addr
+  else mapping_offset k ~seg ~vaddr:addr
+
+(* A prototype record's address is the physical address it wrote (the
+   frame map placed that frame in [seg]); an on-chip one is translated. *)
+let offer k ~seg ~addr ~size ~value ~f =
+  if physical_addresses k then
+    let off = frame_offset k ~seg ~paddr:addr in
+    off < 0 || f ~off ~paddr:addr ~size ~value
+  else
+    let off = mapping_offset k ~seg ~vaddr:addr in
+    off < 0 || f ~off ~paddr:(Kernel.paddr_of k seg ~off) ~size ~value
+
+let located k ~seg (r : Log_record.t) =
+  if r.Log_record.pre_image then -1
+  else seg_offset k ~seg ~addr:r.Log_record.addr
+
+let fold_in k ls ~seg ~init ~f =
+  fold k ls ~init ~f:(fun acc ~off:rec_off r ->
+      let off = located k ~seg r in
+      if off < 0 then acc else f acc ~rec_off ~off r)
+
+let iter_in k ls ~seg ~f =
+  fold_in k ls ~seg ~init:() ~f:(fun () ~rec_off ~off r -> f ~rec_off ~off r)
 
 let vaddr_in ~base ~region seg off =
   if Segment.id (Region.segment region) <> Segment.id seg then None

@@ -6,9 +6,10 @@
     timed (charging the machine's read costs, as an application scanning
     its own log would).
 
-    Prototype-logger records carry physical addresses; {!locate} translates
-    them back to (segment, offset) through the kernel's frame map, and
-    {!vaddr_in} further maps them into a bound region's virtual range. *)
+    Prototype-logger records carry physical addresses; {!seg_offset}
+    translates them back to an offset in a segment through the kernel's
+    frame map, and {!vaddr_in} further maps that into a bound region's
+    virtual range. *)
 
 type kernel = Lvm_vm.Kernel.t
 type segment = Lvm_vm.Segment.t
@@ -32,18 +33,10 @@ val fold_phys :
 val read_at : kernel -> segment -> off:int -> Lvm_machine.Log_record.t
 (** Untimed parse of the record at byte offset [off]. *)
 
-val read_at_timed : kernel -> segment -> off:int -> Lvm_machine.Log_record.t
-(** As {!read_at} but charging four word reads through the cache model. *)
-
 val charge_read : kernel -> segment -> off:int -> len:int -> unit
 (** Charge the cache-model cost of reading [len] stream bytes at [off]
     (one word read per 4 bytes) without parsing them — how the
     checkpoint machinery prices a pass over an encoded container. *)
-
-val read_v0_timed : Lvm_machine.Machine.t -> paddr:int -> Lvm_machine.Log_record.t
-(** Charge the four word reads of the [V0] record at physical address
-    [paddr] (as {!Lvm_machine.Machine.charge_read}), then decode it
-    untimed. *)
 
 val walk_v0 :
   ?start:int -> kernel -> segment -> f:(off:int -> paddr:int -> bool) -> int
@@ -54,7 +47,7 @@ val walk_v0 :
     translation per page; if [f] truncates or compacts the log (the
     segment's layout generation changes), the walk drops its cached
     translation and clamps the remaining span to the new [write_pos].
-    {!fold} and [Checkpoint.roll_forward] are built on it. *)
+    {!fold} and [Checkpoint.replay] are built on it. *)
 
 val map : kernel -> Lvm_vm.Address_space.t -> segment -> int
 (** Bind the log segment into an address space for reading (Section 2.1:
@@ -83,11 +76,40 @@ val iter :
 
 val to_list : kernel -> segment -> Lvm_machine.Log_record.t list
 
-val locate :
-  kernel -> Lvm_machine.Log_record.t -> (Lvm_vm.Segment.t * int) option
-(** Translate a record's address to the owning data segment and byte
-    offset: via the frame map for the prototype logger's physical
-    addresses, via the address spaces for on-chip virtual addresses. *)
+(** {1 Records that land in one segment}
+
+    What every state-rebuilding reader needs: skip pre-image records and
+    keep the writes whose address lies in a given segment. *)
+
+val seg_offset : kernel -> seg:segment -> addr:int -> int
+(** The byte offset in [seg] of record address [addr], or [-1] when
+    [addr] lies outside [seg]: through the frame map's stored entry for
+    the prototype logger's physical addresses (allocating nothing),
+    through the address spaces for the on-chip logger's virtual ones. *)
+
+val offer :
+  kernel -> seg:segment -> addr:int -> size:int -> value:int ->
+  f:(off:int -> paddr:int -> size:int -> value:int -> bool) -> bool
+(** Hand [f] a logged write of [value] ([size] bytes) to record address
+    [addr] if it lands in [seg]: [off] is {!seg_offset}, [paddr] the
+    physical address it writes ([addr] itself under the prototype
+    logger). A write elsewhere is passed over ([true]); otherwise the
+    answer is [f]'s. One logger-model check per write, no allocation
+    under the prototype logger. *)
+
+val located : kernel -> seg:segment -> Lvm_machine.Log_record.t -> int
+(** [seg_offset] of the record's address, or [-1] for a pre-image. *)
+
+val fold_in :
+  kernel -> segment -> seg:segment -> init:'a ->
+  f:('a -> rec_off:int -> off:int -> Lvm_machine.Log_record.t -> 'a) -> 'a
+(** Untimed {!fold} over the records {!located} in [seg]: [rec_off] is the
+    record's (container's) offset in the log, [off] the byte offset it
+    writes in [seg]. *)
+
+val iter_in :
+  kernel -> segment -> seg:segment ->
+  f:(rec_off:int -> off:int -> Lvm_machine.Log_record.t -> unit) -> unit
 
 val vaddr_in :
   base:int -> region:Lvm_vm.Region.t -> Lvm_vm.Segment.t -> int -> int option

@@ -8,7 +8,9 @@ type page_state = {
 let unmapped = { src_addr = 0; modified = Bytes.empty; dirty = false }
 
 type t = {
-  pages : page_state array; (* dst frame number -> state, or [unmapped] *)
+  mutable pages : page_state array;
+      (* dst frame number -> state, or [unmapped]; it grows to the highest
+         frame mapped, not to the size of memory *)
   mem : Physmem.t;
   perf : Perf.t;
   dirty_hist : Lvm_obs.Histogram.t;
@@ -17,7 +19,7 @@ type t = {
 let create ?obs mem perf =
   let obs = match obs with Some o -> o | None -> Lvm_obs.Ctx.create () in
   {
-    pages = Array.make (Physmem.frames mem) unmapped;
+    pages = [||];
     mem;
     perf;
     dirty_hist =
@@ -25,15 +27,24 @@ let create ?obs mem perf =
         ~bounds:(Lvm_obs.Histogram.pow2_bounds ~max_exp:8);
   }
 
-(* Pages past the end of memory are never mapped. *)
+(* Pages past the end of the table are not mapped. *)
 let state t pn =
   if pn >= 0 && pn < Array.length t.pages then t.pages.(pn) else unmapped
 
 let map t ~dst_page ~src_addr =
   if src_addr land (Addr.line_size - 1) <> 0 then
     invalid_arg "Deferred_cache.map: source address must be line-aligned";
-  if dst_page < 0 || dst_page >= Array.length t.pages then
+  if dst_page < 0 || dst_page >= Physmem.frames t.mem then
     invalid_arg "Deferred_cache.map: destination page out of range";
+  let n = Array.length t.pages in
+  if dst_page >= n then begin
+    let pages =
+      Array.make (min (Physmem.frames t.mem) (max (dst_page + 1) (2 * n)))
+        unmapped
+    in
+    Array.blit t.pages 0 pages 0 n;
+    t.pages <- pages
+  end;
   t.pages.(dst_page) <-
     { src_addr; modified = Bytes.make Addr.lines_per_page '\000';
       dirty = false }
@@ -45,7 +56,7 @@ let unmap t ~dst_page =
 let is_mapped t ~dst_page = state t dst_page != unmapped
 let page_dirty t ~dst_page = (state t dst_page).dirty
 
-let line_index paddr = Addr.page_offset paddr / Addr.line_size
+let line_index paddr = Addr.line_number paddr land (Addr.lines_per_page - 1)
 
 let resolve_read t ~paddr =
   let st = state t (Addr.page_number paddr) in

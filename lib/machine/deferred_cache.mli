@@ -26,7 +26,8 @@ val map : t -> dst_page:int -> src_addr:int -> unit
     line [i] is initialized from [src_addr + 16 * i]. [src_addr] must be
     line-aligned, and [dst_page] a frame of the memory (raises
     [Invalid_argument] otherwise). Remapping an already-mapped page resets
-    its state. Page state is held in an array indexed by frame number. *)
+    its state. Page state is held in an array indexed by frame number,
+    grown to the highest page mapped. *)
 
 val unmap : t -> dst_page:int -> unit
 val is_mapped : t -> dst_page:int -> bool

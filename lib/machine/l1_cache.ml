@@ -56,8 +56,8 @@ let fill t ~now idx line =
 
 let read t ~now ~paddr =
   end_write_run t;
-  let idx = slot t paddr in
   let line = Addr.line_number paddr in
+  let idx = line land t.mask in
   if t.tags.(idx) = line then begin
     t.perf.Perf.l1_hits <- t.perf.Perf.l1_hits + 1;
     now + Cycles.l1_hit
@@ -69,8 +69,8 @@ let read t ~now ~paddr =
 
 let write_back_mode_write t ~now ~paddr =
   end_write_run t;
-  let idx = slot t paddr in
   let line = Addr.line_number paddr in
+  let idx = line land t.mask in
   if t.tags.(idx) = line then begin
     t.perf.Perf.l1_hits <- t.perf.Perf.l1_hits + 1;
     t.dirty.(idx) <- true;

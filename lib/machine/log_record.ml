@@ -9,19 +9,26 @@ type t = {
 let bytes = 16
 let pre_image_flag = 0x100
 
+(* Four little-endian words: address, value, flags, timestamp. *)
+let value_offset = 4
+let flags_offset = 8
+let flags_size flags = flags land 0xFF
+let flags_pre_image flags = flags land pre_image_flag <> 0
+
 let encode_bytes buf ~pos t =
   Bytes.set_int32_le buf pos (Int32.of_int (t.addr land 0xFFFFFFFF));
-  Bytes.set_int32_le buf (pos + 4) (Int32.of_int (t.value land 0xFFFFFFFF));
-  Bytes.set_int32_le buf (pos + 8)
+  Bytes.set_int32_le buf (pos + value_offset)
+    (Int32.of_int (t.value land 0xFFFFFFFF));
+  Bytes.set_int32_le buf (pos + flags_offset)
     (Int32.of_int
        ((t.size land 0xFF) lor (if t.pre_image then pre_image_flag else 0)));
   Bytes.set_int32_le buf (pos + 12) (Int32.of_int (t.timestamp land 0xFFFFFFFF))
 
 let decode_bytes buf ~pos =
   let word off = Int32.to_int (Bytes.get_int32_le buf (pos + off)) land 0xFFFFFFFF in
-  let size_field = word 8 in
-  { addr = word 0; value = word 4; size = size_field land 0xFF;
-    timestamp = word 12; pre_image = size_field land pre_image_flag <> 0 }
+  let flags = word flags_offset in
+  { addr = word 0; value = word value_offset; size = flags_size flags;
+    timestamp = word 12; pre_image = flags_pre_image flags }
 
 let scratch = Bytes.create bytes
 

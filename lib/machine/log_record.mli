@@ -30,6 +30,16 @@ val encode_to : Physmem.t -> paddr:int -> t -> unit
 val decode_from : Physmem.t -> paddr:int -> t
 (** Parse the record at physical address [paddr]. *)
 
+val value_offset : int
+val flags_offset : int
+(** Byte offsets, within an encoded record, of its value word and of its
+    flags word; its address word is at offset 0. For a scan that reads
+    those words itself instead of building a record per entry. *)
+
+val flags_size : int -> int
+val flags_pre_image : int -> bool
+(** The [size] and [pre_image] fields packed in a flags word. *)
+
 val encode_bytes : Bytes.t -> pos:int -> t -> unit
 val decode_bytes : Bytes.t -> pos:int -> t
 

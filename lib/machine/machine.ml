@@ -125,8 +125,13 @@ let fault_check t ~site =
 
 (* Instruction-stream crash boundary: every compute/read/write consults
    the plan, so [Plan.crash_at n] dies at the first boundary at or after
-   cycle [n]. Only [Crash] is meaningful at the Cpu site. *)
-let cpu_boundary t = ignore (fault_check t ~site:Lvm_fault.Fault.Cpu)
+   cycle [n]. Only [Crash] is meaningful at the Cpu site. Inlined: it
+   precedes every charged access, and with no plan armed it is one
+   match. *)
+let[@inline] cpu_boundary t =
+  match t.fault with
+  | None -> ()
+  | Some _ -> ignore (fault_check t ~site:Lvm_fault.Fault.Cpu)
 
 let compute t cycles =
   if cycles < 0 then invalid_arg "Machine.compute: negative cycles";
@@ -134,16 +139,27 @@ let compute t cycles =
   clock := !clock + cycles;
   cpu_boundary t
 
-let charge_read ?(words = 1) t ~paddr =
-  let c = t.cpu.(t.cur) in
-  for w = 0 to words - 1 do
+(* One crash boundary per word, so a crash point may fall between two
+   words of a record. A further word of the line the first word brought
+   in is one more hit: nothing touches the cache between two words, and
+   the first read ended any write run. *)
+let charge_read t ~paddr ~words =
+  let c = t.cpu.(t.cur) and perf = t.perf in
+  cpu_boundary t;
+  c.clk := L1_cache.read c.l1 ~now:!(c.clk) ~paddr;
+  let rest_of_line = Addr.line_size - (paddr land (Addr.line_size - 1)) in
+  for w = 1 to words - 1 do
     cpu_boundary t;
-    c.clk :=
-      L1_cache.read c.l1 ~now:!(c.clk) ~paddr:(paddr + (w * Addr.word_size))
+    let at = w * Addr.word_size in
+    if at < rest_of_line then begin
+      perf.Perf.l1_hits <- perf.Perf.l1_hits + 1;
+      c.clk := !(c.clk) + Cycles.l1_hit
+    end
+    else c.clk := L1_cache.read c.l1 ~now:!(c.clk) ~paddr:(paddr + at)
   done
 
 let read t ~paddr ~size =
-  charge_read t ~paddr;
+  charge_read t ~paddr ~words:1;
   let actual = Deferred_cache.resolve_read t.deferred ~paddr in
   Physmem.read_sized t.mem actual ~size
 

@@ -122,13 +122,14 @@ val read : t -> paddr:int -> size:int -> int
 (** Read [size] bytes at [paddr], charging first-level cache timing and
     resolving deferred-copy source redirection. *)
 
-val charge_read : ?words:int -> t -> paddr:int -> unit
+val charge_read : t -> paddr:int -> words:int -> unit
 (** The timing half of {!read}: the same crash-boundary check, clock
     advance, first-level cache update and perf counters, without fetching
     the datum. For callers that price a read whose value they take from
-    elsewhere (a log scan that decodes the record untimed). [words]
-    (default 1) charges that many consecutive word reads from [paddr],
-    exactly as that many calls would. *)
+    elsewhere (a log scan that decodes the record untimed). It charges
+    [words] (>= 1) consecutive word reads from [paddr], exactly as that many
+    one-word calls would: one crash-boundary check per word, and one
+    cache lookup per line (each further word of a line is a hit). *)
 
 val write :
   t -> paddr:int -> ?vaddr:int -> size:int -> mode:write_mode ->

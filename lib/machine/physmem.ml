@@ -1,9 +1,12 @@
 (* A frame is backed by its own 4 KiB the first time it is written; until
-   then it holds [untouched] (the shared empty buffer) and reads as zero. *)
+   then it holds [untouched] (the shared empty buffer) and reads as zero.
+   The store itself covers only the frames up to the highest one written
+   so far (frames are handed out from 0 upwards), so a large memory that
+   is mostly unused costs no table the size of memory. *)
 let untouched = Bytes.empty
 
 type t = {
-  store : Bytes.t array; (* frame number -> its bytes, or [untouched] *)
+  mutable store : Bytes.t array; (* frame number -> its bytes, or [untouched] *)
   frames : int;
   mutable free : int list; (* freed frames, most recently freed first *)
   mutable next_fresh : int; (* frames [next_fresh, frames) never allocated *)
@@ -14,15 +17,17 @@ exception Out_of_frames
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Physmem.create: frames must be positive";
-  { store = Array.make frames untouched; frames; free = []; next_fresh = 0;
+  { store = [||]; frames; free = []; next_fresh = 0;
     free_count = frames }
 
 let frames t = t.frames
 let bytes t = t.frames * Addr.page_size
 let frames_free t = t.free_count
 
+let frame t fn = if fn < Array.length t.store then t.store.(fn) else untouched
+
 let zero_frame t fn =
-  let b = t.store.(fn) in
+  let b = frame t fn in
   if b != untouched then Bytes.fill b 0 Addr.page_size '\000'
 
 (* The free list is the freed frames (a stack) followed by the fresh
@@ -57,9 +62,15 @@ let check t paddr len =
       (Printf.sprintf "Physmem: address 0x%x+%d out of range" paddr len)
 
 let touch t fn =
-  let b = t.store.(fn) in
+  let b = frame t fn in
   if b != untouched then b
   else begin
+    let n = Array.length t.store in
+    if fn >= n then begin
+      let store = Array.make (min t.frames (max (fn + 1) (2 * n))) untouched in
+      Array.blit t.store 0 store 0 n;
+      t.store <- store
+    end;
     let b = Bytes.make Addr.page_size '\000' in
     t.store.(fn) <- b;
     b
@@ -74,7 +85,7 @@ let get_le t paddr len =
   let v = ref 0 in
   for i = len - 1 downto 0 do
     let a = paddr + i in
-    let b = t.store.(Addr.page_number a) in
+    let b = frame t (Addr.page_number a) in
     let byte = if b == untouched then 0 else Bytes.get_uint8 b (Addr.page_offset a) in
     v := (!v lsl 8) lor byte
   done;
@@ -92,7 +103,7 @@ let get t paddr size =
   check t paddr size;
   if not (in_one_frame paddr size) then get_le t paddr size
   else
-    let b = t.store.(Addr.page_number paddr) and off = Addr.page_offset paddr in
+    let b = frame t (Addr.page_number paddr) and off = Addr.page_offset paddr in
     if b == untouched then 0
     else
       match size with
@@ -111,6 +122,14 @@ let set t paddr size v =
     | _ -> Bytes.set_uint8 b off (v land 0xFF)
 
 let read_word t paddr = get t paddr 4
+
+let read_word_raw t paddr =
+  let b = frame t (Addr.page_number paddr) in
+  if b == untouched then 0
+  else
+    Int32.to_int (Bytes.get_int32_le b (Addr.page_offset paddr))
+    land 0xFFFFFFFF
+
 let write_word t paddr v = set t paddr 4 v
 let read_byte t paddr = get t paddr 1
 let write_byte t paddr v = set t paddr 1 v
@@ -141,7 +160,7 @@ let iter_chunks paddr len f =
   done
 
 let copy_out t ~fn ~off buf ~pos ~len =
-  let b = t.store.(fn) in
+  let b = frame t fn in
   if b == untouched then Bytes.fill buf pos len '\000'
   else Bytes.blit b off buf pos len
 
@@ -168,12 +187,12 @@ let blit t ~src ~dst ~len =
   if len = 0 then ()
   else if in_one_frame src len && in_one_frame dst len then begin
     (* the common case, a cache line: one [Bytes.blit] (memmove) *)
-    let s = t.store.(Addr.page_number src) in
+    let s = frame t (Addr.page_number src) in
     let doff = Addr.page_offset dst in
     if s != untouched then
       Bytes.blit s (Addr.page_offset src) (touch t (Addr.page_number dst)) doff len
     else
-      let d = t.store.(Addr.page_number dst) in
+      let d = frame t (Addr.page_number dst) in
       if d != untouched then Bytes.fill d doff len '\000'
   end
   else begin

@@ -1,6 +1,7 @@
 (** Simulated physical memory: [frames] 4-kilobyte page frames with a
     simple free-frame allocator. A frame gets its 4 KB of host memory the
-    first time it is written; a frame never written reads as zeros, so a
+    first time it is written; a frame never written reads as zeros, and
+    the table of frames reaches only the highest frame written, so a
     large machine costs the host only the frames it touches. To every
     caller the memory behaves as one flat byte array: an access or a blit
     that straddles two frames works exactly as it would in flat memory.
@@ -39,6 +40,11 @@ val frames_free : t -> int
 val read_word : t -> int -> int
 (** [read_word t paddr] reads the 32-bit word at word-aligned [paddr].
     The result is in \[0, 2{^32}). *)
+
+val read_word_raw : t -> int -> int
+(** {!read_word} without its range and frame-straddle checks, for a scan
+    that reads many aligned words it already knows lie in memory (the
+    log replay). An untouched frame reads as zero and stays untouched. *)
 
 val write_word : t -> int -> int -> unit
 (** [write_word t paddr v] stores the low 32 bits of [v] at [paddr]. *)

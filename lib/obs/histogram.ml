@@ -30,10 +30,15 @@ let pow2_bounds ~max_exp =
     invalid_arg "Histogram.pow2_bounds: max_exp out of range";
   Array.init (max_exp + 2) (fun i -> if i = 0 then 0 else 1 lsl (i - 1))
 
+(* The first bucket whose bound is >= [v], by binary search over the
+   sorted bounds; allocation-free, as it runs on every bus access. *)
 let bucket_of t v =
-  let n = Array.length t.bounds in
-  let rec find i = if i = n || v <= t.bounds.(i) then i else find (i + 1) in
-  find 0
+  let lo = ref 0 and hi = ref (Array.length t.bounds) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if v <= t.bounds.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo
 
 let observe t v =
   let b = bucket_of t v in

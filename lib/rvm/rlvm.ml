@@ -74,13 +74,9 @@ let commit ?(pace = fun () -> ()) t =
   Durable.open_redo d ~txn:id;
   Lvm.Log_reader.iter d.k d.ls ~f:(fun ~off:_ r ->
       pace ();
-      match
-        if r.Log_record.pre_image then None else Lvm.Log_reader.locate d.k r
-      with
-      | Some (seg, off)
-        when Segment.id seg = Segment.id d.working && off < d.size ->
-        Durable.write_redo d ~off (Log_record.value_bytes r)
-      | Some _ | None -> ());
+      let off = Lvm.Log_reader.located d.k ~seg:d.working r in
+      if off >= 0 && off < d.size then
+        Durable.write_redo d ~off (Log_record.value_bytes r));
   (* group commit: force once per batch (group 1 forces right here) *)
   Durable.finish_redo d (Ramdisk.Commit { txn = id });
   (* The force is a large pure-compute charge; yield before the CULT's

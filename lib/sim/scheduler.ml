@@ -190,33 +190,12 @@ let enqueue t ev = t.queue <- Event_queue.add t.queue ev
 
 (* {1 State restoration} *)
 
-(* [at] is the record's [Log_reader.locate] result. *)
-let is_marker t at =
-  match at with
-  | Some (seg, off) ->
-    Segment.id seg = Segment.id t.working && off = t.lvt_cell_off
-  | None -> false
-
+(* Roll forward up to, not including, the first LVT marker stamped at or
+   after [target]. *)
 let restore_lvm t ~target =
-  let ls = Option.get t.ls in
-  Kernel.set_logging_enabled t.k t.region false;
-  Kernel.reset_deferred_copy t.k t.space ~start:t.base
-    ~len:(Region.size t.region);
-  let stop =
-    Lvm.Checkpoint.roll_forward t.k ~log:ls ~from:0 ~apply:(fun ~off:_ r ->
-        if r.Log_record.pre_image then `Continue
-        else
-          let at = Lvm.Log_reader.locate t.k r in
-          if is_marker t at && r.Log_record.value >= target then `Stop
-          else
-            match at with
-            | Some (seg, off) when Segment.id seg = Segment.id t.working ->
-              Lvm.Checkpoint.apply_record t.k ~target:t.working ~off r;
-              `Continue
-            | Some _ | None -> `Continue)
-  in
-  Lvm_log.truncate_suffix (Lvm_log.of_segment t.k ls) ~new_end:stop;
-  Kernel.set_logging_enabled t.k t.region true
+  Lvm.Checkpoint.rollback t.k ~space:t.space ~working:t.working
+    ~working_region:t.region ~base:t.base ~log:(Option.get t.ls)
+    ~upto:(fun off value -> off <> t.lvt_cell_off || value < target)
 
 let free_save_slot t p =
   if t.strategy = State_saving.Copy_based then
@@ -456,16 +435,10 @@ let fossil_collect t ~gvt =
       let ls = Option.get t.ls in
       Kernel.sync_log t.k ls;
       if Segment.write_pos ls >= cult_threshold_bytes then begin
-        let governing = ref min_int in
         ignore
           (Lvm.Checkpoint.cult t.k ~working:t.working
              ~checkpoint:t.checkpoint ~log:ls
-             ~upto:(fun r at ->
-               if is_marker t at then begin
-                 governing := r.Log_record.value;
-                 r.Log_record.value < gvt
-               end
-               else true));
+             ~upto:(fun off value -> off <> t.lvt_cell_off || value < gvt));
         (* the checkpoint segment now reflects every update below gvt *)
         t.checkpoint_time <- gvt
       end

@@ -19,18 +19,13 @@ let snapshot k seg =
    segment's current contents was modified by an unlogged write. *)
 let unlogged_changes k ~log snap =
   let replayed = Bytes.copy snap.image in
-  Lvm.Log_reader.iter k log ~f:(fun ~off:rec_off r ->
-      if rec_off >= snap.log_start
-         && not r.Lvm_machine.Log_record.pre_image
-      then
-        match Lvm.Log_reader.locate k r with
-        | Some (seg, off) when Segment.id seg = Segment.id snap.seg -> (
-          let v = r.Lvm_machine.Log_record.value in
-          match r.Lvm_machine.Log_record.size with
-          | 1 -> Bytes.set replayed off (Char.chr (v land 0xFF))
-          | 2 -> Bytes.set_uint16_le replayed off (v land 0xFFFF)
-          | _ -> Bytes.set_int32_le replayed off (Int32.of_int v))
-        | Some _ | None -> ());
+  Lvm.Log_reader.iter_in k log ~seg:snap.seg ~f:(fun ~rec_off ~off r ->
+      if rec_off >= snap.log_start then
+        let v = r.Lvm_machine.Log_record.value in
+        match r.Lvm_machine.Log_record.size with
+        | 1 -> Bytes.set replayed off (Char.chr (v land 0xFF))
+        | 2 -> Bytes.set_uint16_le replayed off (v land 0xFFFF)
+        | _ -> Bytes.set_int32_le replayed off (Int32.of_int v));
   let bad = ref [] in
   let words = Bytes.length snap.image / 4 in
   for w = words - 1 downto 0 do

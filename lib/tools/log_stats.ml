@@ -10,14 +10,10 @@ type summary = {
 let counts k ~watched ~log =
   let table = Hashtbl.create 64 in
   let records = ref 0 in
-  Lvm.Log_reader.iter k log ~f:(fun ~off:_ r ->
-      if not r.Lvm_machine.Log_record.pre_image then
-        match Lvm.Log_reader.locate k r with
-        | Some (seg, off) when Segment.id seg = Segment.id watched ->
-          incr records;
-          Hashtbl.replace table off
-            (1 + Option.value ~default:0 (Hashtbl.find_opt table off))
-        | Some _ | None -> ());
+  Lvm.Log_reader.iter_in k log ~seg:watched ~f:(fun ~rec_off:_ ~off _ ->
+      incr records;
+      Hashtbl.replace table off
+        (1 + Option.value ~default:0 (Hashtbl.find_opt table off)));
   (table, !records)
 
 let summarize k ~watched ~log =

@@ -11,7 +11,9 @@
     pre-image option, [Machine.create ~record_old_values:true]), backward
     steps instead apply the recorded pre-images in reverse — constant
     work per step, no reset or replay. Positions count {e writes}; the
-    interleaved pre-image records are handled internally. *)
+    interleaved pre-image records are handled internally. Each write's
+    record is decoded once, at attach time, so under the [V1] codec every
+    write of a run or delta container replays its own value. *)
 
 type t
 

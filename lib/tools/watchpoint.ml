@@ -1,5 +1,3 @@
-open Lvm_vm
-
 type hit = {
   record_index : int;
   off : int;
@@ -12,15 +10,9 @@ let overlaps ~off ~len ~roff ~rsize = roff < off + len && off < roff + rsize
 
 let hits k ~log ~watched ~off ~len =
   let acc =
-    Lvm.Log_reader.fold k log ~init:[] ~f:(fun acc ~off:rec_off r ->
-        match
-          if r.Lvm_machine.Log_record.pre_image then None
-          else Lvm.Log_reader.locate k r
-        with
-        | Some (seg, roff)
-          when Segment.id seg = Segment.id watched
-               && overlaps ~off ~len ~roff ~rsize:r.Lvm_machine.Log_record.size
-          ->
+    Lvm.Log_reader.fold_in k log ~seg:watched ~init:[]
+      ~f:(fun acc ~rec_off ~off:roff r ->
+        if overlaps ~off ~len ~roff ~rsize:r.Lvm_machine.Log_record.size then
           {
             record_index = rec_off / Lvm_machine.Log_record.bytes;
             off = roff;
@@ -29,7 +21,7 @@ let hits k ~log ~watched ~off ~len =
             timestamp = r.Lvm_machine.Log_record.timestamp;
           }
           :: acc
-        | Some _ | None -> acc)
+        else acc)
   in
   List.rev acc
 

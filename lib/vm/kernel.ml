@@ -16,7 +16,9 @@ type t = {
          which need one log-table entry per data page *)
   slot_direct_page : (int * int) option array; (* inverse of the above *)
   mutable next_victim : int;
-  frame_owner : (Segment.t * int) option array; (* frame -> seg, page *)
+  mutable frame_owner : (Segment.t * int) option array;
+      (* frame -> seg, page; it grows to the highest frame owned, not to
+         the size of memory *)
   dc_sources : (int, unit) Hashtbl.t; (* segment ids serving as dc sources *)
   default_log_frame : int;
   mutable on_protect_fault :
@@ -51,6 +53,16 @@ let fresh_id t =
 
 (* {1 Frames} *)
 
+let set_owner t frame owner =
+  let n = Array.length t.frame_owner in
+  if frame >= n then begin
+    let frames = Physmem.frames (Machine.mem t.machine) in
+    let a = Array.make (min frames (max (frame + 1) (2 * n))) None in
+    Array.blit t.frame_owner 0 a 0 n;
+    t.frame_owner <- a
+  end;
+  t.frame_owner.(frame) <- owner
+
 (* Write one resident page of a backed segment out to its store and
    release its frame, dropping page-table entries that reference it. *)
 let evict_page t seg ~page =
@@ -83,7 +95,7 @@ let evict_page t seg ~page =
           (Address_space.regions space))
       t.spaces;
     Machine.l1_invalidate_page t.machine ~page:frame;
-    t.frame_owner.(frame) <- None;
+    set_owner t frame None;
     Segment.clear_frame seg ~page;
     Physmem.free_frame (Machine.mem t.machine) frame
 
@@ -123,7 +135,7 @@ let materialize_page t seg ~page =
         else Physmem.alloc_frame (Machine.mem t.machine)
     in
     Segment.set_frame seg ~page ~frame:f;
-    t.frame_owner.(f) <- Some (seg, page);
+    set_owner t f (Some (seg, page));
     (match (Segment.backing seg, Segment.manager seg) with
     | Some store, _ ->
       (* demand paging: load the page image from the backing store (the
@@ -146,7 +158,7 @@ let materialize_page t seg ~page =
           | None ->
             let f = Physmem.alloc_frame (Machine.mem t.machine) in
             Segment.set_frame src ~page:src_page ~frame:f;
-            t.frame_owner.(f) <- Some (src, src_page);
+            set_owner t f (Some (src, src_page));
             f
         in
         Machine.dc_map t.machine ~dst_page:f
@@ -161,7 +173,7 @@ let owner_of_frame t ~frame =
 let paddr_of t seg ~off =
   if off < 0 || off >= Segment.size seg then
     Error.raise_ (Error.Out_of_segment { segment = Segment.id seg; off });
-  let frame = materialize_page t seg ~page:(off / Addr.page_size) in
+  let frame = materialize_page t seg ~page:(Addr.page_number off) in
   Addr.addr_of_page frame + Addr.page_offset off
 
 (* {1 Log segment activation} *)
@@ -522,7 +534,7 @@ let create ?obs ?hw ?record_old_values ?codec ?coalesce_depth
       direct_slots = Hashtbl.create 16;
       slot_direct_page = Array.make log_entries None;
       next_victim = 0;
-      frame_owner = Array.make frames None;
+      frame_owner = [||];
       dc_sources = Hashtbl.create 16;
       default_log_frame;
       on_protect_fault = None;
@@ -823,8 +835,8 @@ let remap_page t space region ~seg_page ~new_frame =
   | Some old_frame ->
     Machine.compute t.machine Cycles.page_remap;
     Segment.set_frame seg ~page:seg_page ~frame:new_frame;
-    t.frame_owner.(old_frame) <- None;
-    t.frame_owner.(new_frame) <- Some (seg, seg_page);
+    set_owner t old_frame None;
+    set_owner t new_frame (Some (seg, seg_page));
     (match Region.binding region with
     | Some (sid, base) when sid = Address_space.id space ->
       let vpage =

@@ -93,9 +93,9 @@ let prop_log_totality =
       let logged =
         List.map
           (fun (r : Log_record.t) ->
-            match Lvm.Log_reader.locate k r with
-            | Some (_, off) -> (off / 4, r.Log_record.value)
-            | None -> (-1, -1))
+            match Lvm.Log_reader.located k ~seg r with
+            | -1 -> (-1, -1)
+            | off -> (off / 4, r.Log_record.value))
           (Lvm.Log_reader.to_list k ls)
       in
       logged = writes)
@@ -120,9 +120,8 @@ let prop_log_replay_reconstructs =
         writes;
       let replayed = Array.make 256 0 in
       Lvm.Log_reader.iter k ls ~f:(fun ~off:_ r ->
-          match Lvm.Log_reader.locate k r with
-          | Some (_, off) -> replayed.(off / 4) <- r.Log_record.value
-          | None -> ());
+          let off = Lvm.Log_reader.located k ~seg r in
+          if off >= 0 then replayed.(off / 4) <- r.Log_record.value);
       let ok = ref true in
       for w = 0 to 255 do
         if Lvm.Api.read_word k space ~vaddr:(base + (w * 4)) <> replayed.(w) then

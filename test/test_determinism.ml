@@ -144,11 +144,9 @@ let test_replay_reconstructs ~cpus () =
           if not r.Lvm_machine.Log_record.pre_image then begin
             Alcotest.(check int) "word-sized record" 4
               r.Lvm_machine.Log_record.size;
-            match Lvm.Log_reader.locate k r with
-            | Some (s, off) when s == seg ->
-              model.(off / 4) <- r.Lvm_machine.Log_record.value
-            | Some _ -> Alcotest.fail "record located to a foreign segment"
-            | None -> Alcotest.fail "record did not locate"
+            match Lvm.Log_reader.located k ~seg r with
+            | -1 -> Alcotest.fail "record did not locate to its segment"
+            | off -> model.(off / 4) <- r.Lvm_machine.Log_record.value
           end);
       Alcotest.(check (array int))
         (Printf.sprintf "cpu %d replay reconstructs memory" i)
@@ -223,9 +221,7 @@ let extent_stream ~cpus =
     List.rev
       (Lvm.Log_reader.fold k ls ~init:[] ~f:(fun acc ~off r ->
            let loc =
-             match Lvm.Log_reader.locate k r with
-             | Some (_, o) -> o
-             | None -> -1
+             Lvm.Log_reader.seg_offset k ~seg ~addr:r.Lvm_machine.Log_record.addr
            in
            Printf.sprintf "off=%d loc=%d v=%d sz=%d pre=%b" off loc
              r.Lvm_machine.Log_record.value r.Lvm_machine.Log_record.size
@@ -235,10 +231,9 @@ let extent_stream ~cpus =
   let model = Array.copy initial in
   Lvm.Log_reader.iter k ls ~f:(fun ~off:_ r ->
       if not r.Lvm_machine.Log_record.pre_image then
-        match Lvm.Log_reader.locate k r with
-        | Some (s, off) when s == seg ->
-          model.(off / 4) <- r.Lvm_machine.Log_record.value
-        | Some _ | None -> Alcotest.fail "record did not locate");
+        match Lvm.Log_reader.located k ~seg r with
+        | -1 -> Alcotest.fail "record did not locate"
+        | off -> model.(off / 4) <- r.Lvm_machine.Log_record.value);
   Alcotest.(check (array int))
     (Printf.sprintf "%d-cpu replay reconstructs memory" cpus)
     (snapshot ()) model;

@@ -167,7 +167,7 @@ let test_timed_log_read_charges () =
   Kernel.write_word k sp base 1;
   Kernel.compute k 500;
   let t0 = Kernel.time k in
-  ignore (Lvm.Log_reader.read_at_timed k ls ~off:0);
+  Lvm.Log_reader.charge_read k ls ~off:0 ~len:Lvm_machine.Log_record.bytes;
   let timed = Kernel.time k - t0 in
   let t1 = Kernel.time k in
   ignore (Lvm.Log_reader.read_at k ls ~off:0);

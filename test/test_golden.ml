@@ -1,5 +1,5 @@
 (* Golden simulated cycles: exact cycle counts and machine counters of
-   five small fixed runs, pinned. The determinism suite only compares two
+   small fixed runs, pinned. The determinism suite only compares two
    runs of one build; these values catch a change that moves a simulated
    cycle while claiming to touch host-side code only (memory layout,
    lookup structures, the replay loop). A change that means to move
@@ -236,6 +236,184 @@ let crash_points () =
       | exception Lvm_fault.Fault.Crashed { cycle; _ } ->
         (at, cycle, Lvm_machine.Machine.current_cpu m))
 
+(* The located replay under each record path — prototype V0, V1, and
+   the on-chip logger's virtual addresses with pre-image records — on
+   the two Section 2.4 operations (a rollback to half the log, then a
+   CULT of a prefix of what followed) and on a 4-scheduler TimeWarp
+   PHOLD on a 2-CPU kernel, whose every rollback resets the deferred copy
+   and rolls forward. Pins the images, the clocks and the counters. *)
+let replay_paths ~hw ~record_old_values ~codec =
+  let open Lvm_vm in
+  let page = Addr.page_size in
+  let image k seg =
+    Digest.to_hex
+      (Digest.string
+         (String.init (Segment.size seg) (fun off ->
+              Char.chr (Kernel.seg_read_raw k seg ~off ~size:1))))
+  in
+  let k = Kernel.create ~hw ~record_old_values ~codec () in
+  let sp = Kernel.create_space k in
+  let checkpoint = Kernel.create_segment k ~size:(2 * page) in
+  let working = Kernel.create_segment k ~size:(2 * page) in
+  Kernel.declare_source k ~dst:working ~src:checkpoint ~offset:0;
+  let region = Kernel.create_region k working in
+  let ls = Kernel.create_log_segment k ~size:(32 * page) in
+  Kernel.set_region_log k region (Some ls);
+  let base = Kernel.bind k sp region in
+  for i = 0 to 399 do
+    Kernel.compute k (i mod 7);
+    Kernel.write_word k sp (base + (i * 20 mod (2 * page))) (i * 3)
+  done;
+  let records = Lvm.Log_reader.record_count k ls in
+  let seen = ref 0 in
+  Lvm.Checkpoint.rollback k ~space:sp ~working ~working_region:region ~base
+    ~log:ls ~upto:(fun _ _ ->
+      incr seen;
+      !seen <= records / 2);
+  let rolled_back = image k working in
+  for i = 0 to 199 do
+    Kernel.write_word k sp (base + (i * 28 mod (2 * page))) (i + 7)
+  done;
+  let seen = ref 0 in
+  let applied =
+    Lvm.Checkpoint.cult k ~working ~checkpoint ~log:ls ~upto:(fun _ _ ->
+        incr seen;
+        !seen <= 250)
+  in
+  let kernel =
+    Kernel.create ~hw ~record_old_values ~codec ~frames:(4 * 8192) ~cpus:2 ()
+  in
+  let app = Phold.app ~objects:8 ~object_words:16 ~compute:200 ~seed:11 () in
+  let uid = ref 0 in
+  let fresh_uid () =
+    incr uid;
+    !uid
+  in
+  let scheds =
+    Array.init 4 (fun id ->
+        Scheduler.create ~hw ~kernel ~cpu:(id mod 2) ~id ~n_schedulers:4
+          ~strategy:State_saving.Lvm_based ~app ~fresh_uid ())
+  in
+  List.iter
+    (fun (time, dst, payload) ->
+      Scheduler.enqueue scheds.(dst mod 4)
+        { Event.time; dst; payload; src = -1; send_time = 0;
+          uid = fresh_uid () })
+    (Phold.population ~objects:8 ~population:8 ~seed:11);
+  (* Timewarp.run's rounds, on a kernel booted with [codec] *)
+  let end_time = 400 in
+  let rec deliver () =
+    let moved = ref false in
+    Array.iter
+      (fun s ->
+        List.iter
+          (fun (dst, msg) ->
+            moved := true;
+            Scheduler.receive scheds.(dst) msg)
+          (Scheduler.drain_outbox s))
+      scheds;
+    if !moved then deliver ()
+  in
+  let rec round () =
+    Array.iter
+      (fun s ->
+        let rec batch n =
+          if n > 0 && Scheduler.step s ~horizon:(end_time - 1) then
+            batch (n - 1)
+        in
+        batch 8)
+      scheds;
+    deliver ();
+    let gvt =
+      Array.fold_left
+        (fun acc s ->
+          match Scheduler.min_pending_time s with
+          | None -> acc
+          | Some m -> min acc m)
+        end_time scheds
+    in
+    Array.iter (fun s -> Scheduler.fossil_collect s ~gvt) scheds;
+    if gvt < end_time then round ()
+  in
+  round ();
+  let sum f = Array.fold_left (fun a s -> a + f (Scheduler.stats s)) 0 scheds in
+  let state =
+    String.concat ","
+      (List.init 8 (fun obj ->
+           string_of_int
+             (Scheduler.read_state scheds.(obj mod 4) ~obj ~word:0)))
+  in
+  let int (name, v) = (name, string_of_int v) in
+  [ ("rolled_back", rolled_back);
+    ("working", image k working);
+    ("checkpoint", image k checkpoint);
+    ("tw_state", Digest.to_hex (Digest.string state)) ]
+  @ List.map int
+      ([ ("records", records);
+         ("applied", applied);
+         ("kept_records", Lvm.Log_reader.record_count k ls);
+         ("max_time", Kernel.max_time k);
+         ("tw_max_time", Kernel.max_time kernel);
+         ("tw_rollbacks", sum (fun st -> st.Scheduler.rollbacks));
+         ("tw_committed", sum (fun st -> st.Scheduler.events_committed)) ]
+      @ counters [ Kernel.perf k ]
+      @ List.map
+          (fun (n, v) -> ("tw_" ^ n, v))
+          (counters [ Kernel.perf kernel ]))
+
+(* Reverse execution's cycles: a debugger session (attach, seek to the
+   middle, step back and forward, seek to the start, seek back to the
+   failure) on a working segment that shares its log with a second
+   logged segment, under the prototype logger and under the on-chip
+   logger recording pre-images. Pins the clock after each move, the
+   working image at each stop, and the counters. *)
+let reverse_exec_session ~hw ~record_old_values =
+  let open Lvm_vm in
+  let module Rx = Lvm_tools.Reverse_exec in
+  let page = Addr.page_size in
+  let k = Kernel.create ~hw ~record_old_values () in
+  let sp = Kernel.create_space k in
+  let checkpoint = Kernel.create_segment k ~size:page in
+  let working = Kernel.create_segment k ~size:page in
+  Kernel.declare_source k ~dst:working ~src:checkpoint ~offset:0;
+  let region = Kernel.create_region k working in
+  let other = Kernel.create_region k (Kernel.create_segment k ~size:page) in
+  let ls = Kernel.create_log_segment k ~size:(16 * page) in
+  Kernel.set_region_log k region (Some ls);
+  Kernel.set_region_log k other (Some ls);
+  let base = Kernel.bind k sp region in
+  let obase = Kernel.bind k sp other in
+  for i = 0 to 119 do
+    Kernel.compute k (i mod 5);
+    Kernel.write_word k sp (base + (i * 12 mod page)) (i + 1);
+    if i mod 3 = 0 then Kernel.write_word k sp (obase + (i * 8 mod page)) i
+  done;
+  let image () =
+    Digest.to_hex
+      (Digest.string
+         (String.init page (fun off ->
+              Char.chr (Kernel.seg_read_raw k working ~off ~size:1))))
+  in
+  let rx = Rx.create k ~space:sp ~working ~region ~base ~log:ls in
+  let n = Rx.length rx in
+  let at label = [ (label, string_of_int (Kernel.max_time k)) ] in
+  let attach = at "attach" in
+  Rx.seek rx (n / 2);
+  let half = at "seek_half" @ [ ("image_half", image ()) ] in
+  ignore (Rx.step_back rx);
+  let back = at "step_back" in
+  ignore (Rx.step_forward rx);
+  let fwd = at "step_forward" in
+  Rx.seek rx 0;
+  let start = at "seek_0" @ [ ("image_0", image ()) ] in
+  Rx.seek rx n;
+  let fin = at "seek_end" @ [ ("image_end", image ()) ] in
+  Rx.detach rx;
+  [ ("writes", string_of_int n) ] @ attach @ half @ back @ fwd @ start @ fin
+  @ List.map
+      (fun (name, v) -> (name, string_of_int v))
+      (counters [ Kernel.perf k ])
+
 let pinned = Alcotest.(list (pair string int))
 
 (* Every value below was generated before the sparse-memory and
@@ -296,6 +474,92 @@ let test_v1_roll_forward () =
       ("log_records", 600);
       ("dc_pages_scanned", 2) ]
     (v1_roll_forward ())
+
+(* Generated before the located replay became one allocation-free
+   primitive. *)
+let test_replay_paths () =
+  let pin = Alcotest.(list (pair string string)) in
+  Alcotest.check pin "V0"
+    [ ("rolled_back", "9636410ef857dcaf06c3928731a6239a");
+      ("working", "7a4ba625597c2142a6313fa75e365de5");
+      ("checkpoint", "ab7d14ca02c85a78988e066047a4051e");
+      ("tw_state", "100f16f55f6bd5d1cd411401a8025003"); ("records", "400");
+      ("applied", "250"); ("kept_records", "150"); ("max_time", "41132");
+      ("tw_max_time", "767361"); ("tw_rollbacks", "93");
+      ("tw_committed", "308"); ("l1_hits", "1403"); ("l1_misses", "855");
+      ("bus_busy_cycles", "16208"); ("log_records", "600");
+      ("dc_pages_scanned", "2"); ("tw_l1_hits", "58470");
+      ("tw_l1_misses", "8553"); ("tw_bus_busy_cycles", "95092");
+      ("tw_log_records", "1908"); ("tw_dc_pages_scanned", "93") ]
+    (replay_paths ~hw:Logger.Prototype ~record_old_values:false
+       ~codec:Log_record.V0);
+  Alcotest.check pin "V1"
+    [ ("rolled_back", "9636410ef857dcaf06c3928731a6239a");
+      ("working", "7a4ba625597c2142a6313fa75e365de5");
+      ("checkpoint", "ab7d14ca02c85a78988e066047a4051e");
+      ("tw_state", "100f16f55f6bd5d1cd411401a8025003"); ("records", "400");
+      ("applied", "250"); ("kept_records", "150"); ("max_time", "41044");
+      ("tw_max_time", "768189"); ("tw_rollbacks", "93");
+      ("tw_committed", "308"); ("l1_hits", "1405"); ("l1_misses", "857");
+      ("bus_busy_cycles", "16224"); ("log_records", "600");
+      ("dc_pages_scanned", "2"); ("tw_l1_hits", "58619");
+      ("tw_l1_misses", "8616"); ("tw_bus_busy_cycles", "95604");
+      ("tw_log_records", "1908"); ("tw_dc_pages_scanned", "93") ]
+    (replay_paths ~hw:Logger.Prototype ~record_old_values:false
+       ~codec:Log_record.V1);
+  Alcotest.check pin "on-chip, pre-images"
+    [ ("rolled_back", "4ab93e9dba1be944311406b2c00b7697");
+      ("working", "0cac3fcadd315695763a1228c81665ff");
+      ("checkpoint", "08fa980dfddbf18911ba377565b33756");
+      ("tw_state", "100f16f55f6bd5d1cd411401a8025003"); ("records", "800");
+      ("applied", "250"); ("kept_records", "699"); ("max_time", "107647");
+      ("tw_max_time", "855320"); ("tw_rollbacks", "93");
+      ("tw_committed", "308"); ("l1_hits", "3951"); ("l1_misses", "1907");
+      ("bus_busy_cycles", "31328"); ("log_records", "1200");
+      ("dc_pages_scanned", "2"); ("tw_l1_hits", "100065");
+      ("tw_l1_misses", "15038"); ("tw_bus_busy_cycles", "161628");
+      ("tw_log_records", "3816"); ("tw_dc_pages_scanned", "93") ]
+    (replay_paths ~hw:Logger.On_chip ~record_old_values:true
+       ~codec:Log_record.V0)
+
+(* Generated before the located replay became one primitive: a debugger
+   step still charges one record read per write. *)
+let test_reverse_exec_session () =
+  let pin = Alcotest.(list (pair string string)) in
+  Alcotest.check pin "prototype, shared log"
+    [ ("writes", "160");
+      ("attach", "4074");
+      ("seek_half", "13271");
+      ("image_half", "27ef32e11d45b6d8f75f2546eb2a3dcd");
+      ("step_back", "21734");
+      ("step_forward", "21748");
+      ("seek_0", "29440");
+      ("image_0", "620f0b67a91f7f74151bc5be745b7110");
+      ("seek_end", "31730");
+      ("image_end", "4ea806862cdb9a77ce0cec53946f7ebf");
+      ("l1_hits", "1180");
+      ("l1_misses", "340");
+      ("bus_busy_cycles", "4800");
+      ("log_records", "160");
+      ("dc_pages_scanned", "3") ]
+    (reverse_exec_session ~hw:Logger.Prototype ~record_old_values:false);
+  Alcotest.check pin "on-chip, pre-images, shared log"
+    [ ("writes", "160");
+      ("attach", "15090");
+      ("seek_half", "16595");
+      ("image_half", "27ef32e11d45b6d8f75f2546eb2a3dcd");
+      ("step_back", "16618");
+      ("step_forward", "16632");
+      ("seek_0", "18119");
+      ("image_0", "620f0b67a91f7f74151bc5be745b7110");
+      ("seek_end", "20310");
+      ("image_end", "4ea806862cdb9a77ce0cec53946f7ebf");
+      ("l1_hits", "1120");
+      ("l1_misses", "410");
+      ("bus_busy_cycles", "6640");
+      ("log_records", "320");
+      ("dc_pages_scanned", "0") ]
+    (reverse_exec_session ~hw:Logger.On_chip ~record_old_values:true)
 
 (* Generated before RLVM and FAMS shared one redo encoder. *)
 let test_wal_digests () =
@@ -388,6 +652,9 @@ let suites =
         Alcotest.test_case "v1 roll_forward cycles" `Quick
           test_v1_roll_forward;
         Alcotest.test_case "rlvm + fams wal bytes" `Quick test_wal_digests;
+        Alcotest.test_case "located replay paths" `Quick test_replay_paths;
+        Alcotest.test_case "reverse-exec session cycles" `Quick
+          test_reverse_exec_session;
         Alcotest.test_case "store workload schedules" `Quick
           test_store_schedules ]
     ) ]

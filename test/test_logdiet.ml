@@ -426,14 +426,12 @@ let prop_coalesced_replay_identity rng size =
   let replay (k, _sp, seg, _log, ls, _base) =
     let image = Bytes.make Addr.page_size '\000' in
     Lvm.Log_reader.iter k ls ~f:(fun ~off:_ r ->
-        if not r.Log_record.pre_image then
-          match Lvm.Log_reader.locate k r with
-          | Some (s, off) when Segment.id s = Segment.id seg ->
-            (match r.Log_record.size with
-            | 1 -> Bytes.set_uint8 image off (r.Log_record.value land 0xFF)
-            | 2 -> Bytes.set_uint16_le image off (r.Log_record.value land 0xFFFF)
-            | _ -> Bytes.set_int32_le image off (Int32.of_int r.Log_record.value))
-          | Some _ | None -> ());
+        let off = Lvm.Log_reader.located k ~seg r in
+        if off >= 0 then
+          match r.Log_record.size with
+          | 1 -> Bytes.set_uint8 image off (r.Log_record.value land 0xFF)
+          | 2 -> Bytes.set_uint16_le image off (r.Log_record.value land 0xFFFF)
+          | _ -> Bytes.set_int32_le image off (Int32.of_int r.Log_record.value));
     image
   in
   let ia = replay a and ib = replay b in

@@ -60,6 +60,20 @@ let test_histogram () =
   | (None, n) :: _ -> check_int "overflow bucket" 1 n
   | _ -> Alcotest.fail "missing overflow bucket")
 
+(* [observe] runs on every bus access and logger FIFO sample. *)
+let test_histogram_observe_allocates_nothing () =
+  let h =
+    Histogram.create ~name:"h" ~bounds:(Histogram.pow2_bounds ~max_exp:12)
+  in
+  let before = Gc.minor_words () in
+  for v = 0 to 9_999 do
+    Histogram.observe h v
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 10000 observes" words)
+    true (words < 100.)
+
 let test_histogram_merge () =
   let bounds = Histogram.pow2_bounds ~max_exp:3 in
   let a = Histogram.create ~name:"h" ~bounds in
@@ -321,6 +335,8 @@ let suites =
         Alcotest.test_case "snapshot delta" `Quick test_snapshot_delta;
         Alcotest.test_case "histogram" `Quick test_histogram;
         Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
+        Alcotest.test_case "observe allocates nothing" `Quick
+          test_histogram_observe_allocates_nothing;
         Alcotest.test_case "trace ring" `Quick test_trace_ring;
         Alcotest.test_case "snapshot matches perf" `Quick
           test_snapshot_matches_perf;

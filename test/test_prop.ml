@@ -724,6 +724,130 @@ let prop_charge_read rng size =
       !lines
   done
 
+(* {1 One-lookup line charge vs the per-word loop}
+
+   [Machine.charge_read ~words:n] over words of one line takes one cache
+   lookup and charges each further word as a hit. It must be
+   indistinguishable from [n] one-word charges: the same CPU clocks,
+   counters (L1 hits, misses and write-backs, bus grants and waits) and
+   histograms, from any cache state that random reads, write-back and
+   write-through stores, compute and CPU switches reach. With a
+   [Plan.crash_at] armed inside a record, the charge keeps its per-word
+   crash boundaries, so the crash lands on the same cycle. *)
+
+let line_accesses rng size ~cpus =
+  List.init (8 * size) (fun _ ->
+      let paddr = Sm.int rng ~bound:(8 * Addr.page_size / 4) * 4 in
+      match Sm.int rng ~bound:10 with
+      | 0 -> `Cpu (Sm.int rng ~bound:cpus)
+      | 1 -> `Write (paddr, Machine.Write_back)
+      | 2 -> `Write (paddr, Machine.Write_through)
+      | 3 -> `Compute (Sm.int rng ~bound:20)
+      | 4 ->
+        (* possibly crossing into the next line *)
+        `Read (min paddr ((8 * Addr.page_size) - 16), 1 + Sm.int rng ~bound:4)
+      | _ ->
+        (* a record-shaped read: [words] words inside one line *)
+        let words = 1 + Sm.int rng ~bound:4 in
+        let line = Addr.line_base paddr in
+        let first = Sm.int rng ~bound:(Addr.words_per_line - words + 1) in
+        `Read (line + (first * Addr.word_size), words))
+
+let run_access m ~per_word = function
+  | `Cpu c -> Machine.set_cpu m c
+  | `Write (paddr, mode) ->
+    Machine.write m ~paddr ~size:4 ~mode ~logged:false paddr
+  | `Compute c -> Machine.compute m c
+  | `Read (paddr, words) ->
+    if per_word then
+      for w = 0 to words - 1 do
+        Machine.charge_read m ~paddr:(paddr + (w * Addr.word_size)) ~words:1
+      done
+    else Machine.charge_read m ~paddr ~words
+
+let machine_state m =
+  let obs = Machine.obs m in
+  ( List.init (Machine.cpus m) (fun cpu -> Machine.cpu_time m ~cpu),
+    Lvm_obs.Snapshot.to_alist (Lvm_obs.Ctx.snapshot obs),
+    List.map
+      (fun h ->
+        ( Lvm_obs.Histogram.name h,
+          Array.to_list (Lvm_obs.Histogram.counts h),
+          Lvm_obs.Histogram.sum h ))
+      (Lvm_obs.Ctx.histograms obs) )
+
+let prop_line_charge rng size =
+  let cpus = 1 + Sm.int rng ~bound:4 in
+  let ops = line_accesses rng size ~cpus in
+  let grouped = Machine.create ~frames:8 ~cpus ()
+  and per_word = Machine.create ~frames:8 ~cpus () in
+  List.iter (run_access grouped ~per_word:false) ops;
+  List.iter (run_access per_word ~per_word:true) ops;
+  expect (machine_state grouped = machine_state per_word)
+    "%d CPUs: clocks, counters or histograms differ" cpus
+
+let prop_line_charge_crash rng size =
+  let ops = line_accesses rng size ~cpus:1 in
+  (* an unarmed run finds the cycle span of every multi-word read *)
+  let dry = Machine.create ~frames:8 () in
+  let spans =
+    List.filter_map
+      (fun op ->
+        let t0 = Machine.time dry in
+        run_access dry ~per_word:false op;
+        match op with
+        | `Read (paddr, words)
+          when words > 1
+               && Addr.line_number paddr
+                  = Addr.line_number (paddr + ((words - 1) * Addr.word_size))
+          ->
+          Some (t0, Machine.time dry)
+        | _ -> None)
+      ops
+  in
+  if spans <> [] then begin
+    let t0, t1 = List.nth spans (Sm.int rng ~bound:(List.length spans)) in
+    (* a crash point after the record's first word, at or before its
+       last word's boundary (that word is a hit: one cycle) *)
+    let at = t0 + 1 + Sm.int rng ~bound:(t1 - t0 - 1) in
+    let crash per_word =
+      let m = Machine.create ~frames:8 () in
+      Machine.set_fault_plan m (Some (Lvm_fault.Plan.crash_at at));
+      match List.iter (run_access m ~per_word) ops with
+      | () -> None
+      | exception Lvm_fault.Fault.Crashed { cycle; _ } ->
+        Some (cycle, machine_state m)
+    in
+    match (crash false, crash true) with
+    | Some (c, grouped), Some (c', per_word) ->
+      expect (c = c') "crash at cycle %d vs %d" c c';
+      expect (c > t0 && c < t1) "crash at %d, outside the record [%d, %d)" c
+        t0 t1;
+      expect (grouped = per_word) "state at the crash differs"
+    | _ -> expect false "armed at %d inside [%d, %d): no crash" at t0 t1
+  end
+
+(* {1 Histogram buckets vs a linear scan} *)
+
+let prop_histogram_bucket rng size =
+  let n = 1 + Sm.int rng ~bound:16 in
+  let bounds = Array.make n (Sm.int rng ~bound:100 - 50) in
+  for i = 1 to n - 1 do
+    bounds.(i) <- bounds.(i - 1) + 1 + Sm.int rng ~bound:40
+  done;
+  let h = Lvm_obs.Histogram.create ~name:"h" ~bounds in
+  let model = Array.make (n + 1) 0 in
+  let lo = bounds.(0) - 60 and span = bounds.(n - 1) - bounds.(0) + 120 in
+  for _ = 1 to size do
+    let v = lo + Sm.int rng ~bound:span in
+    Lvm_obs.Histogram.observe h v;
+    let rec first i = if i = n || v <= bounds.(i) then i else first (i + 1) in
+    let b = first 0 in
+    model.(b) <- model.(b) + 1
+  done;
+  expect (Lvm_obs.Histogram.counts h = model) "%d bounds: bucket counts differ"
+    n
+
 let prop name ?max_size ?cases:c p =
   let shown = match c with None -> cases | Some c -> c in
   Alcotest.test_case (Printf.sprintf "%s (%d cases)" name shown) `Quick
@@ -743,6 +867,12 @@ let suites =
           prop_physmem_sparse;
         prop "charge_read matches read" ~max_size:64 ~cases:(min cases 200)
           prop_charge_read;
+        prop "line charge = per-word loop" ~max_size:64 ~cases:(min cases 200)
+          prop_line_charge;
+        prop "line charge crash lands on the same cycle" ~max_size:64
+          ~cases:(min cases 200) prop_line_charge_crash;
+        prop "histogram bucket vs linear scan" ~max_size:64
+          ~cases:(min cases 300) prop_histogram_bucket;
         Alcotest.test_case "saturation overloads" `Quick test_overload_fires;
       ] );
     ( "hotshard.prop",

@@ -164,6 +164,81 @@ let prop_reverse_exec_seek_consistent =
       done;
       !ok)
 
+(* Under the V1 codec a run container carries several writes; forward
+   replay must apply every one of them, not the container's first. *)
+let v1_debuggee () =
+  let k = Kernel.create ~codec:Lvm_machine.Log_record.V1 ~coalesce_depth:16 ()
+  in
+  let sp = Kernel.create_space k in
+  let working = Kernel.create_segment k ~size:4096 in
+  let ckpt = Kernel.create_segment k ~size:4096 in
+  Kernel.declare_source k ~dst:working ~src:ckpt ~offset:0;
+  let region = Kernel.create_region k working in
+  let ls = Kernel.create_log_segment k ~size:(8 * Lvm_machine.Addr.page_size)
+  in
+  Kernel.set_region_log k region (Some ls);
+  let base = Kernel.bind k sp region in
+  (k, sp, working, region, ls, base)
+
+let test_reverse_exec_v1_runs () =
+  let k, sp, working, region, ls, base = v1_debuggee () in
+  for i = 0 to 7 do
+    Kernel.write_word k sp (base + (4 * i)) (100 + i)
+  done;
+  let rx = Reverse_exec.create k ~space:sp ~working ~region ~base ~log:ls in
+  check "eight writes indexed" 8 (Reverse_exec.length rx);
+  let words () =
+    List.init 8 (fun i -> Kernel.read_word k sp (base + (4 * i)))
+  in
+  Reverse_exec.seek rx 0;
+  Alcotest.(check (list int)) "initial state" (List.init 8 (fun _ -> 0))
+    (words ());
+  Reverse_exec.seek rx 8;
+  Alcotest.(check (list int)) "every write of the run replayed"
+    (List.init 8 (fun i -> 100 + i)) (words ());
+  Reverse_exec.seek rx 0;
+  Reverse_exec.seek rx 3;
+  Reverse_exec.seek rx 5;
+  Alcotest.(check (list int)) "forward from inside the run"
+    [ 100; 101; 102; 103; 104; 0; 0; 0 ] (words ());
+  check "record of write 6" 106
+    (Reverse_exec.record_at rx 6).Lvm_machine.Log_record.value
+
+let prop_reverse_exec_v1_seeks =
+  QCheck.Test.make ~name:"V1: every seek shows prefix-replay state" ~count:40
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 40)
+           (pair (int_bound 15) (int_bound 99)))
+        (list_of_size (Gen.int_range 1 6) (int_bound 40)))
+    (fun (writes, seeks) ->
+      let k, sp, working, region, ls, base = v1_debuggee () in
+      (* sequential stretches form runs, repeated words form deltas *)
+      List.iter (fun (w, v) -> Kernel.write_word k sp (base + (w * 4)) v)
+        writes;
+      (* coalescing squashes rewrites, so the model is the logged writes *)
+      let logged =
+        List.map
+          (fun r ->
+            ( Lvm.Log_reader.located k ~seg:working r / 4,
+              r.Lvm_machine.Log_record.value ))
+          (Lvm.Log_reader.to_list k ls)
+      in
+      let rx =
+        Reverse_exec.create k ~space:sp ~working ~region ~base ~log:ls
+      in
+      List.length logged = Reverse_exec.length rx
+      && List.for_all
+        (fun pos ->
+          let n = min pos (Reverse_exec.length rx) in
+          Reverse_exec.seek rx n;
+          let expect = Array.make 16 0 in
+          List.iteri (fun i (w, v) -> if i < n then expect.(w) <- v) logged;
+          List.for_all
+            (fun w -> Kernel.read_word k sp (base + (w * 4)) = expect.(w))
+            (List.init 16 Fun.id))
+        seeks)
+
 (* {1 Address traces} *)
 
 let test_address_trace () =
@@ -311,6 +386,9 @@ let suites =
       [
         Alcotest.test_case "time travel" `Quick test_reverse_exec_time_travel;
         QCheck_alcotest.to_alcotest prop_reverse_exec_seek_consistent;
+        Alcotest.test_case "V1 run containers" `Quick
+          test_reverse_exec_v1_runs;
+        QCheck_alcotest.to_alcotest prop_reverse_exec_v1_seeks;
       ] );
     ( "tools.address-trace",
       [ Alcotest.test_case "trace and histogram" `Quick test_address_trace ] );

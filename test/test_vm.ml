@@ -201,11 +201,8 @@ let test_logged_records_locate () =
   Kernel.write_word k sp (base + 0x123 * 4) 99;
   match Lvm.Log_reader.to_list k ls with
   | [ r ] -> (
-    match Lvm.Log_reader.locate k r with
-    | Some (owner, off) ->
-      check "owner segment" (Segment.id seg) (Segment.id owner);
-      check "offset" (0x123 * 4) off
-    | None -> Alcotest.fail "locate failed")
+    check "offset in the owner segment" (0x123 * 4)
+      (Lvm.Log_reader.located k ~seg r))
   | records ->
     Alcotest.failf "expected one record, got %d" (List.length records)
 
@@ -484,6 +481,32 @@ let test_cult_then_rollback_loses_nothing () =
   (* word 2's initial value was 2*2 = 4 *)
   check "post-CULT write rolled back" 4 (Kernel.read_word k sp (base + 8))
 
+(* The V0 roll-forward under the prototype logger builds no record and
+   no (segment, offset) pair: its allocation is per walk, not per
+   record. *)
+let test_replay_allocates_nothing_per_record () =
+  let k, sp, working, _ckpt, _region, ls, base = sim_fixture () in
+  for i = 0 to 1999 do
+    Kernel.write_word k sp (base + (i mod 64 * 4)) i
+  done;
+  let m = Kernel.machine k in
+  let seen = ref 0 in
+  let before = Gc.minor_words () in
+  let stop =
+    Lvm.Checkpoint.replay k ~log:ls ~from:0 ~seg:working
+      ~f:(fun ~off:_ ~paddr ~size ~value ->
+        incr seen;
+        Machine.write m ~paddr ~size ~mode:Machine.Write_back ~logged:false
+          value;
+        true)
+  in
+  let words = Gc.minor_words () -. before in
+  check "every record offered" 2000 !seen;
+  check "whole log consumed" (2000 * Lvm_machine.Log_record.bytes) stop;
+  check_bool
+    (Printf.sprintf "%.0f minor words for 2000 records" words)
+    true (words < 2000.)
+
 (* Property: rolling back after a random write burst reproduces exactly
    the state obtained by applying the kept prefix to the initial state. *)
 let prop_rollback_equals_prefix_replay =
@@ -612,6 +635,8 @@ let suites =
           test_cult_folds_into_checkpoint;
         Alcotest.test_case "cult then rollback" `Quick
           test_cult_then_rollback_loses_nothing;
+        Alcotest.test_case "replay allocates nothing per record" `Quick
+          test_replay_allocates_nothing_per_record;
         QCheck_alcotest.to_alcotest prop_rollback_equals_prefix_replay;
       ] );
     ( "vm.protection",
