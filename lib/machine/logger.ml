@@ -7,9 +7,6 @@ type fault =
 
 type fault_outcome = Fixed | Drop
 
-type pmt_entry = { mutable p_valid : bool; mutable tag : int;
-                   mutable log_index : int }
-
 type log_entry = { mutable l_valid : bool; mutable l_mode : mode;
                    mutable next_addr : int }
 
@@ -45,7 +42,10 @@ type t = {
   coalesce_depth : int;
   co : raw Squash.t option; (* the coalescing buffer, keyed by word paddr *)
   stats : diet_stats option;
-  pmt : pmt_entry array;
+  mutable pmt : int array;
+    (* the PMT, two ints per slot: the tag (-1 = invalid) and the log
+       index. It starts empty and grows to the highest slot loaded, capped
+       at [1 lsl pmt_bits] slots; a slot past its end is invalid. *)
   pmt_bits : int;
   table : log_entry array;
   fifo : Fifo.t; (* snooped entries awaiting DMA completion *)
@@ -104,9 +104,7 @@ let create ?obs ?(hw = Prototype) ?(record_old_values = false)
       (if coalesce_depth > 0 then Some (Squash.create ~depth:coalesce_depth)
        else None);
     stats;
-    pmt =
-      Array.init (1 lsl pmt_bits) (fun _ ->
-          { p_valid = false; tag = 0; log_index = 0 });
+    pmt = [||];
     pmt_bits;
     table =
       Array.init log_entries (fun _ ->
@@ -161,18 +159,33 @@ let tag_of t page = page lsr t.pmt_bits
 let load_pmt t ~page ~log_index =
   if log_index < 0 || log_index >= Array.length t.table then
     invalid_arg "Logger.load_pmt: bad log index";
-  let e = t.pmt.(slot t page) in
-  e.p_valid <- true;
-  e.tag <- tag_of t page;
-  e.log_index <- log_index
+  let i = 2 * slot t page in
+  let n = Array.length t.pmt in
+  if i >= n then begin
+    let pmt =
+      Array.make (min (2 lsl t.pmt_bits) (max (i + 2) (2 * n))) (-1)
+    in
+    Array.blit t.pmt 0 pmt 0 n;
+    t.pmt <- pmt
+  end;
+  t.pmt.(i) <- tag_of t page;
+  t.pmt.(i + 1) <- log_index
+
+(* The log index [page] maps to, or -1 on a miss: the per-write lookup,
+   which builds no option. *)
+let pmt_index t ~page =
+  let i = 2 * slot t page in
+  if i < Array.length t.pmt && t.pmt.(i) = tag_of t page then t.pmt.(i + 1)
+  else -1
 
 let pmt_lookup t ~page =
-  let e = t.pmt.(slot t page) in
-  if e.p_valid && e.tag = tag_of t page then Some e.log_index else None
+  let i = pmt_index t ~page in
+  if i < 0 then None else Some i
 
 let invalidate_pmt t ~page =
-  let e = t.pmt.(slot t page) in
-  if e.p_valid && e.tag = tag_of t page then e.p_valid <- false
+  let i = 2 * slot t page in
+  if i < Array.length t.pmt && t.pmt.(i) = tag_of t page then
+    t.pmt.(i) <- -1
 
 let set_log_entry t ~index ~mode ~addr =
   if index < 0 || index >= Array.length t.table then
@@ -248,14 +261,14 @@ let rec service_one t (w : raw) ~attempts =
        by virtual page, which is what makes per-region logs possible. *)
     let key = match t.hw with Prototype -> w.w_paddr | On_chip -> w.w_vaddr in
     let page = Addr.page_number key in
-    match pmt_lookup t ~page with
-    | None -> begin
+    let log_index = pmt_index t ~page in
+    if log_index < 0 then begin
       match fault t (Pmt_miss { paddr = key }) with
       | Drop ->
         t.perf.Perf.log_records_lost <- t.perf.Perf.log_records_lost + 1
       | Fixed -> service_one t w ~attempts:(attempts + 1)
     end
-    | Some log_index ->
+    else
       let entry = t.table.(log_index) in
       if not entry.l_valid then begin
         match fault t (Log_addr_invalid { log_index }) with
@@ -473,22 +486,23 @@ let rec emit_phys t ~log_index (g : Log_record.Codec.group) ~attempts =
       end
     end
 
-(* Resolve a snooped write to its log table index, faulting the kernel in
-   for PMT misses exactly as the V0 pipeline does. *)
+(* Resolve a snooped write to its log table index (-1 once the write is
+   lost), faulting the kernel in for PMT misses exactly as the V0 pipeline
+   does. *)
 let rec resolve_index t (w : raw) ~attempts =
   if attempts > 4 then begin
     lose t 1;
-    None
+    -1
   end
   else
     let key = match t.hw with Prototype -> w.w_paddr | On_chip -> w.w_vaddr in
-    match pmt_lookup t ~page:(Addr.page_number key) with
-    | Some log_index -> Some log_index
-    | None -> begin
+    let log_index = pmt_index t ~page:(Addr.page_number key) in
+    if log_index >= 0 then log_index
+    else begin
       match fault t (Pmt_miss { paddr = key }) with
       | Drop ->
         lose t 1;
-        None
+        -1
       | Fixed -> resolve_index t w ~attempts:(attempts + 1)
     end
 
@@ -501,9 +515,8 @@ let service_batch t raws =
   let resolved =
     List.filter_map
       (fun w ->
-        match resolve_index t w ~attempts:0 with
-        | None -> None
-        | Some i -> Some (i, w))
+        let i = resolve_index t w ~attempts:0 in
+        if i < 0 then None else Some (i, w))
       raws
   in
   (* split into runs of consecutive writes to the same log *)

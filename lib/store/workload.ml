@@ -4,16 +4,28 @@ module Splitmix = Lvm_fault.Splitmix
 (* {1 Zipfian sampler} *)
 
 module Zipf = struct
-  type t = { n : int; theta : float; cdf : float array }
+  type t = {
+    n : int;
+    theta : float;
+    cdf : float array;
+    guide : int array;
+      (* bucket [floor (u * n)] -> a rank no greater than the draw of any
+         [u] in that bucket: where the forward scan starts *)
+  }
 
-  let create ~n ~theta =
-    if n < 1 then
-      Error.raise_ (Error.Out_of_range { op = "Zipf.create"; what = "n"; value = n });
-    if not (Float.is_finite theta) || theta < 0.0 then
-      Error.raise_
-        (Error.Out_of_range { op = "Zipf.create"; what = "theta"; value = 0 });
-    (* Exact CDF over the ranks: O(n) to build, O(log n) to sample, any
-       theta >= 0 (0 degenerates to uniform). *)
+  (* The reference draw: the smallest rank whose CDF exceeds [u], else
+     [n - 1]. *)
+  let search (cdf : float array) (u : float) =
+    let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if u < cdf.(mid) then hi := mid else lo := mid + 1
+    done;
+    !lo
+
+  let build ~n ~theta =
+    (* Exact CDF over the ranks, any theta >= 0 (0 degenerates to
+       uniform). *)
     let cdf = Array.make n 0.0 in
     let acc = ref 0.0 in
     for r = 0 to n - 1 do
@@ -24,25 +36,59 @@ module Zipf = struct
     for r = 0 to n - 1 do
       cdf.(r) <- cdf.(r) /. total
     done;
-    { n; theta; cdf }
+    (* Every [u] with [floor (u *. n) = k] is at least [k / n] less two
+       rounding errors, and two [Float.pred] steps cover those, so the
+       search's answer at that bound is never past the answer at [u]. *)
+    let fn = float_of_int n in
+    let guide =
+      Array.init n (fun k ->
+          search cdf (Float.pred (Float.pred (float_of_int k /. fn))))
+    in
+    { n; theta; cdf; guide }
+
+  (* One table per (n, theta), shared by every caller: [generate] builds
+     its sampler on every [run]. *)
+  let tables : (int * float, t) Hashtbl.t = Hashtbl.create 8
+
+  let create ~n ~theta =
+    if n < 1 then
+      Error.raise_ (Error.Out_of_range { op = "Zipf.create"; what = "n"; value = n });
+    if not (Float.is_finite theta) || theta < 0.0 then
+      Error.raise_
+        (Error.Out_of_range { op = "Zipf.create"; what = "theta"; value = 0 });
+    match Hashtbl.find_opt tables (n, theta) with
+    | Some t -> t
+    | None ->
+      let t = build ~n ~theta in
+      if Hashtbl.length tables >= 64 then Hashtbl.reset tables;
+      Hashtbl.replace tables (n, theta) t;
+      t
 
   let n t = t.n
   let theta t = t.theta
+
+  let cdf t r =
+    if r < 0 || r >= t.n then
+      Error.raise_
+        (Error.Out_of_range { op = "Zipf.cdf"; what = "rank"; value = r });
+    t.cdf.(r)
 
   let pmf t r =
     if r < 0 || r >= t.n then
       Error.raise_ (Error.Out_of_range { op = "Zipf.pmf"; what = "rank"; value = r });
     if r = 0 then t.cdf.(0) else t.cdf.(r) -. t.cdf.(r - 1)
 
-  let sample t rng =
-    let u = Splitmix.unit_float rng in
-    (* Smallest rank whose CDF exceeds the draw. *)
-    let lo = ref 0 and hi = ref (t.n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if u < t.cdf.(mid) then hi := mid else lo := mid + 1
+  let rank_by_search t u = search t.cdf u
+
+  let rank t u =
+    let k = int_of_float (u *. float_of_int t.n) in
+    let r = ref t.guide.(if k < t.n then k else t.n - 1) in
+    while !r < t.n - 1 && not (u < t.cdf.(!r)) do
+      incr r
     done;
-    !lo
+    !r
+
+  let sample t rng = rank t (Splitmix.unit_float rng)
 end
 
 (* Rank -> key, owner-major: the hottest [buckets_per_shard] ranks land

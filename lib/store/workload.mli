@@ -47,15 +47,19 @@
     which only counts deliberate drops (admission policy or the
     token-bucket gate's typed [Shed]). *)
 
-(** An exact Zipf(theta) sampler over ranks [0, n): O(n) to build,
-    O(log n) per sample, deterministic from the caller's
-    {!Lvm_fault.Splitmix} stream. Rank 0 is the hottest. *)
+(** An exact Zipf(theta) sampler over ranks [0, n), deterministic from
+    the caller's {!Lvm_fault.Splitmix} stream. Rank 0 is the hottest.
+    The table costs O(n) to build, once per (n, theta): equal parameters
+    share one table. A draw costs O(1) expected: a guide table indexed
+    by [floor (u * n)] gives a rank the answer cannot be below, and a
+    forward scan of the CDF from there finds it. *)
 module Zipf : sig
   type t
 
   val create : n:int -> theta:float -> t
   (** Raises [Out_of_range] on [n < 1] or [theta < 0]; [theta = 0] is
-      the uniform distribution. *)
+      the uniform distribution. Returns the table already built for the
+      same [n] and [theta], if any. *)
 
   val n : t -> int
   val theta : t -> float
@@ -64,7 +68,19 @@ module Zipf : sig
   (** The exact probability of a rank — the theory curve property
       tests compare empirical frequencies against. *)
 
+  val cdf : t -> int -> float
+  (** The probability of ranks [0..r]: the table a draw searches. *)
+
+  val rank : t -> float -> int
+  (** The rank a unit draw [u] in \[0, 1\] maps to: the smallest rank
+      whose CDF exceeds [u], else [n - 1]. *)
+
+  val rank_by_search : t -> float -> int
+  (** The same answer by binary search over the CDF: the reference
+      {!rank} must equal. *)
+
   val sample : t -> Lvm_fault.Splitmix.t -> int
+  (** [rank] of one {!Lvm_fault.Splitmix.unit_float} draw. *)
 end
 
 val clustered_key : shards:int -> buckets_per_shard:int -> keys:int -> int -> int

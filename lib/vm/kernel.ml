@@ -274,12 +274,59 @@ let alloc_slot t ls =
   Segment.set_log_index ls (Some index);
   index
 
+(* Service the page crossing that left [ls]'s log-table entry [index]
+   invalid: move to the next log page and re-arm there, telling the
+   lifecycle layer's crossing observer, or absorb into the default log
+   page when no page was provided (Section 3.2). *)
+let service_log_crossing t ls ~index =
+  let next = Segment.active_page ls + 1 in
+  (* Tell the log-lifecycle subsystem (if attached) about the page
+     crossing; observers must be cycle-free. *)
+  let notify absorbed =
+    match t.on_log_crossing with
+    | None -> ()
+    | Some f -> f ls ~next_page:next ~absorbed
+  in
+  (* A [Log_exhaust] injection makes this crossing behave as if the user
+     had provided no further pages, forcing the absorption branch below
+     (Section 3.2's failure mode, on demand). *)
+  let forced_exhaust =
+    match Machine.fault_check t.machine ~site:Lvm_fault.Fault.Log_segment with
+    | Some Lvm_fault.Fault.Log_exhaust -> true
+    | Some _ | None -> false
+  in
+  (* Capacity the user provided (at creation or by extension) counts as
+     "a page"; frames under it are materialized on demand. *)
+  let have_page = (next < Segment.pages ls) && not forced_exhaust in
+  if have_page && not (Segment.absorbing ls) then begin
+    Segment.set_write_pos ls (next * Addr.page_size);
+    arm_log_entry t ls ~index;
+    notify false
+  end
+  else begin
+    (* No page provided in time: absorb records into the default log
+       page; they are lost (Section 3.2). *)
+    if not (Segment.absorbing ls) then begin
+      Segment.set_write_pos ls (next * Addr.page_size);
+      Segment.set_absorbing ls true;
+      event t (Lvm_obs.Event.Log_absorb { segment = Segment.id ls })
+    end;
+    Segment.note_absorbed_crossing ls;
+    Logger.set_log_entry (logger t) ~index ~mode:(Segment.log_mode ls)
+      ~addr:(Addr.addr_of_page t.default_log_frame);
+    notify true
+  end
+
 let activate_log t ls =
   match Segment.log_index ls with
   | Some index ->
+    (* An invalid entry on an active log is a page crossing the logger
+       has not faulted on yet: service it here, exactly as the
+       log-address fault would, so the crossing observer sees it and the
+       records resume on the next page. *)
     if Logger.log_entry (logger t) ~index = None
        && not (Segment.absorbing ls)
-    then arm_log_entry t ls ~index;
+    then service_log_crossing t ls ~index;
     index
   | None ->
     let index = alloc_slot t ls in
@@ -470,48 +517,8 @@ let handle_log_addr_invalid t ~log_index =
     match Segment.log_mode ls with
     | Logger.Direct_mapped -> Logger.Drop
     | Logger.Normal | Logger.Indexed ->
-      let next = Segment.active_page ls + 1 in
-      (* Tell the log-lifecycle subsystem (if attached) about the page
-         crossing; observers must be cycle-free. *)
-      let notify absorbed =
-        match t.on_log_crossing with
-        | None -> ()
-        | Some f -> f ls ~next_page:next ~absorbed
-      in
-      (* A [Log_exhaust] injection makes this crossing behave as if the
-         user had provided no further pages, forcing the absorption
-         branch below (Section 3.2's failure mode, on demand). *)
-      let forced_exhaust =
-        match
-          Machine.fault_check t.machine ~site:Lvm_fault.Fault.Log_segment
-        with
-        | Some Lvm_fault.Fault.Log_exhaust -> true
-        | Some _ | None -> false
-      in
-      (* Capacity the user provided (at creation or by extension) counts as
-         "a page"; frames under it are materialized on demand. *)
-      let have_page = (next < Segment.pages ls) && not forced_exhaust in
-      if have_page && not (Segment.absorbing ls) then begin
-        Segment.set_write_pos ls (next * Addr.page_size);
-        arm_log_entry t ls ~index:log_index;
-        notify false;
-        Logger.Fixed
-      end
-      else begin
-        (* No page provided in time: absorb records into the default log
-           page; they are lost (Section 3.2). *)
-        if not (Segment.absorbing ls) then begin
-          Segment.set_write_pos ls (next * Addr.page_size);
-          Segment.set_absorbing ls true;
-          event t (Lvm_obs.Event.Log_absorb { segment = Segment.id ls })
-        end;
-        Segment.note_absorbed_crossing ls;
-        Logger.set_log_entry (logger t) ~index:log_index
-          ~mode:(Segment.log_mode ls)
-          ~addr:(Addr.addr_of_page t.default_log_frame);
-        notify true;
-        Logger.Fixed
-      end)
+      service_log_crossing t ls ~index:log_index;
+      Logger.Fixed)
 
 (* {1 Construction} *)
 

@@ -186,6 +186,99 @@ let prop_logger_overload rng size =
     end
   done
 
+(* {1 PMT vs a reference direct-mapped table}
+
+   Random [load_pmt] / [pmt_lookup] / [invalidate_pmt] sequences, and
+   snooped writes through the table, against a reference keyed by slot:
+   for every [pmt_bits] and log-table size, with tags above 0, the top
+   slot, and both the prototype's physical and the on-chip logger's
+   virtual page keys. *)
+
+let prop_pmt rng size =
+  let bits = [| 2; 15; 20 |].(Sm.int rng ~bound:3) in
+  let entries = [| 2; 64; 300 |].(Sm.int rng ~bound:3) in
+  let hw = if Sm.bool rng then Logger.Prototype else Logger.On_chip in
+  let clock = ref 0 in
+  let perf = Perf.create () in
+  let mem = Physmem.create ~frames:2 in
+  let bus = Bus.create perf in
+  let lg =
+    Logger.create ~hw ~pmt_bits:bits ~log_entries:entries ~clock mem bus perf
+  in
+  for index = 0 to entries - 1 do
+    Logger.set_log_entry lg ~index ~mode:Logger.Normal ~addr:Addr.page_size
+  done;
+  let misses = ref [] in
+  Logger.set_fault_handler lg (function
+    | Logger.Pmt_miss { paddr } ->
+      misses := paddr :: !misses;
+      Logger.Drop
+    | Logger.Log_addr_invalid { log_index } ->
+      Logger.set_log_entry lg ~index:log_index ~mode:Logger.Normal
+        ~addr:Addr.page_size;
+      Logger.Fixed);
+  let mask = (1 lsl bits) - 1 in
+  let pages =
+    Array.init 6 (fun _ ->
+        let slot =
+          match Sm.int rng ~bound:3 with
+          | 0 -> 0
+          | 1 -> mask
+          | _ -> Sm.int rng ~bound:(mask + 1)
+        in
+        let tag =
+          match Sm.int rng ~bound:3 with
+          | 0 -> 0
+          | 1 -> 1
+          | _ -> Sm.int rng ~bound:(1 lsl 20)
+        in
+        (tag lsl bits) lor slot)
+  in
+  let model : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
+  let lookup page =
+    match Hashtbl.find_opt model (page land mask) with
+    | Some (tag, index) when tag = page lsr bits -> Some index
+    | Some _ | None -> None
+  in
+  for _ = 1 to size do
+    let page = pages.(Sm.int rng ~bound:(Array.length pages)) in
+    match Sm.int rng ~bound:4 with
+    | 0 ->
+      let log_index = Sm.int rng ~bound:entries in
+      Logger.load_pmt lg ~page ~log_index;
+      Hashtbl.replace model (page land mask) (page lsr bits, log_index)
+    | 1 ->
+      Logger.invalidate_pmt lg ~page;
+      if lookup page <> None then Hashtbl.remove model (page land mask)
+    | 2 ->
+      let got = Logger.pmt_lookup lg ~page in
+      expect (got = lookup page) "page 0x%x (bits %d): lookup %s, model %s"
+        page bits
+        (match got with Some i -> string_of_int i | None -> "miss")
+        (match lookup page with Some i -> string_of_int i | None -> "miss")
+    | _ ->
+      (* a write whose key address lies in [page]; the other address is
+         on another page, so keying by the wrong one shows *)
+      let key = Addr.addr_of_page page + (4 * Sm.int rng ~bound:1024) in
+      let other = Addr.addr_of_page (page + 1) in
+      let paddr, vaddr =
+        match hw with
+        | Logger.Prototype -> (key, other)
+        | Logger.On_chip -> (other, key)
+      in
+      let records = perf.Perf.log_records in
+      misses := [];
+      Logger.snoop lg ~paddr ~vaddr ~size:4 ~value:0;
+      (match lookup page with
+      | Some _ ->
+        expect (!misses = [] && perf.Perf.log_records = records + 1)
+          "page 0x%x (bits %d): mapped write not logged" page bits
+      | None ->
+        expect (!misses = [ key ] && perf.Perf.log_records = records)
+          "page 0x%x (bits %d): unmapped write did not miss on 0x%x" page bits
+          key)
+  done
+
 (* Deterministic companion: saturating the logger must actually overload
    it (the property above is vacuous at tiny sizes). *)
 let test_overload_fires () =
@@ -466,6 +559,35 @@ let prop_zipf rng size =
     replay.(r) <- replay.(r) + 1
   done;
   expect (replay = counts) "same seed, different sample stream"
+
+(* The guide-table draw is the binary-search draw, exactly: at every CDF
+   value, the floats either side of it, every guide bucket's lower edge
+   and the float below it, 0 and the largest unit draw. *)
+let prop_zipf_guide rng size =
+  let n = 1 + Sm.int rng ~bound:(4 * size) in
+  let theta = [| 0.0; 0.5; 0.99; 1.1; 1.5; 3.0 |].(Sm.int rng ~bound:6) in
+  let z = Wl.Zipf.create ~n ~theta in
+  let agree u =
+    let got = Wl.Zipf.rank z u and want = Wl.Zipf.rank_by_search z u in
+    expect (got = want) "u = %h (n=%d theta=%.2f): guide %d, search %d" u n
+      theta got want
+  in
+  agree 0.0;
+  agree (Float.pred 1.0);
+  for r = 0 to n - 1 do
+    let c = Wl.Zipf.cdf z r in
+    agree (Float.pred c);
+    agree c;
+    agree (Float.succ c)
+  done;
+  for k = 1 to n - 1 do
+    let edge = float_of_int k /. float_of_int n in
+    agree edge;
+    agree (Float.pred edge)
+  done;
+  for _ = 1 to 64 do
+    agree (Sm.unit_float rng)
+  done
 
 (* {1 Split-then-merge round-trip}
 
@@ -873,12 +995,16 @@ let suites =
           ~cases:(min cases 200) prop_line_charge_crash;
         prop "histogram bucket vs linear scan" ~max_size:64
           ~cases:(min cases 300) prop_histogram_bucket;
+        prop "pmt vs direct-mapped reference" ~max_size:64
+          ~cases:(min cases 200) prop_pmt;
         Alcotest.test_case "saturation overloads" `Quick test_overload_fires;
       ] );
     ( "hotshard.prop",
       [
         prop "zipf frequency-rank curve" ~max_size:128
           ~cases:(min cases 200) prop_zipf;
+        prop "zipf guide draw = binary search" ~max_size:256
+          ~cases:(min cases 200) prop_zipf_guide;
         prop "split-then-merge round-trip" ~max_size:64 ~cases:(min cases 48)
           prop_split_roundtrip;
       ] );

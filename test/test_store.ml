@@ -19,6 +19,86 @@ let make ?(shards = 2) ?(keys = 32) ?(admission = Store.Config.Queue) () =
   Store.create
     { Store.Config.default with shards; keys; admission; compute = 40 }
 
+(* Booting a store is one machine plus its shards' regions and logs: it
+   must not carry a table the size of the logger's whole PMT per shard
+   machine. *)
+let test_create_allocation () =
+  let before = Gc.allocated_bytes () in
+  let st = Store.create Store.Config.default in
+  let bytes = Gc.allocated_bytes () -. before in
+  ignore (Sys.opaque_identity st);
+  check_bool
+    (Printf.sprintf "%.0f bytes allocated by Store.create (4 x 1024)" bytes)
+    true
+    (bytes < 512. *. 1024.)
+
+(* {1 Zipf sampler}
+
+   The first 256 ranks at seed 1, as the binary-search sampler drew
+   them before the guide table: every key a Zipfian workload draws, and
+   so every simulated cycle, depends on these. *)
+
+let zipf_1024_1_1 =
+  [|
+     2; 271; 2; 0; 7; 19; 914; 33; 57; 13; 0; 23; 0; 1; 1; 1;
+     1; 13; 45; 42; 27; 170; 0; 39; 6; 3; 4; 13; 168; 6; 93; 455;
+     54; 0; 0; 13; 12; 0; 0; 8; 0; 104; 11; 1; 735; 814; 0; 0;
+     707; 230; 7; 23; 0; 14; 0; 389; 7; 57; 511; 1; 122; 14; 77; 191;
+     11; 288; 2; 165; 71; 33; 0; 146; 4; 0; 66; 586; 110; 13; 0; 6;
+     10; 612; 2; 76; 3; 59; 5; 0; 20; 3; 4; 13; 7; 7; 22; 0;
+     1; 2; 9; 0; 10; 6; 42; 2; 29; 693; 33; 30; 22; 63; 0; 1;
+     1; 354; 6; 423; 9; 27; 11; 309; 1; 0; 12; 0; 0; 63; 0; 0;
+     1; 171; 0; 18; 19; 316; 377; 9; 122; 0; 2; 2; 1; 5; 12; 118;
+     338; 1; 24; 0; 4; 0; 0; 0; 0; 0; 0; 0; 10; 28; 0; 30;
+     30; 5; 1; 3; 53; 17; 18; 34; 1; 53; 0; 3; 0; 0; 284; 29;
+     435; 11; 553; 0; 0; 10; 0; 24; 452; 2; 29; 57; 67; 0; 75; 463;
+     0; 5; 302; 4; 1003; 161; 50; 2; 3; 94; 0; 73; 195; 0; 2; 320;
+     41; 0; 1; 1; 1; 15; 0; 33; 511; 0; 1; 211; 10; 1; 37; 210;
+     586; 99; 0; 0; 149; 7; 0; 0; 25; 0; 0; 153; 19; 15; 23; 0;
+     15; 8; 129; 443; 3; 674; 37; 0; 2; 3; 414; 0; 188; 0; 3; 1;
+  |]
+
+let zipf_64_0 =
+  [|
+     17; 55; 19; 6; 28; 36; 63; 40; 44; 33; 6; 37; 3; 13; 14; 11;
+     12; 33; 43; 42; 39; 52; 7; 42; 27; 22; 24; 33; 52; 27; 48; 59;
+     44; 11; 11; 33; 32; 8; 11; 29; 8; 49; 32; 13; 62; 62; 7; 10;
+     61; 54; 28; 37; 9; 33; 2; 58; 28; 44; 59; 11; 50; 33; 47; 53;
+     32; 56; 19; 52; 46; 40; 1; 51; 23; 10; 46; 60; 49; 33; 1; 27;
+     31; 60; 18; 47; 20; 45; 25; 9; 36; 20; 24; 33; 27; 28; 37; 5;
+     11; 19; 30; 2; 31; 26; 42; 18; 39; 61; 40; 39; 37; 45; 3; 13;
+     13; 57; 26; 58; 30; 39; 32; 56; 13; 5; 32; 10; 7; 45; 7; 2;
+     12; 52; 9; 36; 36; 56; 57; 30; 50; 6; 19; 18; 15; 24; 32; 50;
+     57; 15; 38; 2; 24; 8; 10; 6; 0; 6; 5; 8; 31; 39; 10; 39;
+     39; 25; 13; 21; 44; 35; 35; 40; 16; 44; 4; 22; 1; 3; 56; 39;
+     58; 31; 60; 4; 5; 30; 3; 38; 59; 17; 39; 44; 46; 10; 46; 59;
+     6; 25; 56; 22; 63; 52; 43; 19; 21; 48; 9; 46; 53; 5; 19; 56;
+     42; 7; 14; 12; 16; 34; 6; 40; 59; 8; 15; 54; 30; 16; 41; 54;
+     60; 48; 11; 2; 51; 28; 6; 5; 38; 5; 2; 52; 36; 34; 37; 9;
+     34; 29; 50; 59; 22; 61; 41; 10; 19; 21; 58; 9; 53; 9; 22; 14;
+  |]
+
+let test_zipf_pinned_ranks () =
+  List.iter
+    (fun (n, theta, want) ->
+      let z = Workload.Zipf.create ~n ~theta in
+      let rng = Lvm_fault.Splitmix.create ~seed:1 in
+      let got = Array.init 256 (fun _ -> Workload.Zipf.sample z rng) in
+      Alcotest.(check (array int))
+        (Printf.sprintf "ranks for (%d, %g)" n theta)
+        want got)
+    [ (1024, 1.1, zipf_1024_1_1); (64, 0.0, zipf_64_0) ]
+
+let test_zipf_table_shared () =
+  let a = Workload.Zipf.create ~n:1024 ~theta:1.1 in
+  check_bool "equal (n, theta) share one table" true
+    (a == Workload.Zipf.create ~n:1024 ~theta:1.1);
+  let b = Workload.Zipf.create ~n:1024 ~theta:1.2 in
+  check_bool "another theta builds its own" true (a != b);
+  Alcotest.(check (float 0.)) "with its own theta" 1.2 (Workload.Zipf.theta b);
+  check_bool "another n builds its own" true
+    (a != Workload.Zipf.create ~n:512 ~theta:1.1)
+
 (* {1 Local and cross-shard transactions} *)
 
 let test_local_txns () =
@@ -460,7 +540,9 @@ let suites =
           test_in_doubt_roll_forward;
         Alcotest.test_case "two concurrent in-doubt roll-forward" `Quick
           test_two_in_doubt_roll_forward;
-        Alcotest.test_case "backpressure overloaded" `Quick test_overloaded ] );
+        Alcotest.test_case "backpressure overloaded" `Quick test_overloaded;
+        Alcotest.test_case "create allocates under 512 KiB" `Quick
+          test_create_allocation ] );
     ( "store.workload",
       [ Alcotest.test_case "closed loop" `Quick test_workload_basic;
         Alcotest.test_case "deterministic" `Quick test_workload_deterministic;
@@ -469,7 +551,9 @@ let suites =
     ( "store.crash",
       [ Alcotest.test_case "sharded sweep" `Slow test_store_sweep ] );
     ( "hotshard",
-      [ Alcotest.test_case "move lifecycle windows" `Quick test_move_lifecycle;
+      [ Alcotest.test_case "zipf pinned ranks" `Quick test_zipf_pinned_ranks;
+        Alcotest.test_case "zipf table shared" `Quick test_zipf_table_shared;
+        Alcotest.test_case "move lifecycle windows" `Quick test_move_lifecycle;
         Alcotest.test_case "move abort" `Quick test_move_abort;
         Alcotest.test_case "token-bucket shed" `Quick test_admission_shed;
         Alcotest.test_case "workload shed accounting" `Quick

@@ -146,6 +146,20 @@ let test_kernel_unaligned_rejected () =
     (Error.Lvm_error (Error.Unaligned_access { vaddr = base + 2; size = 4 }))
     (fun () -> ignore (Kernel.read k sp ~vaddr:(base + 2) ~size:4))
 
+(* A fresh machine must be nearly free to build: crash sweeps, the
+   benchmark's rounds and model checkers build one per run. The logger's
+   2^15-slot PMT once cost 1.3 MB here; it now grows with the slots
+   loaded. *)
+let test_kernel_create_allocation () =
+  let before = Gc.allocated_bytes () in
+  let k = Kernel.create () in
+  let bytes = Gc.allocated_bytes () -. before in
+  ignore (Sys.opaque_identity k);
+  check_bool
+    (Printf.sprintf "%.0f bytes allocated by Kernel.create" bytes)
+    true
+    (bytes < 128. *. 1024.)
+
 let test_kernel_manager_fill () =
   let k, sp = boot () in
   let filled = ref [] in
@@ -217,6 +231,28 @@ let test_log_page_crossing_extends () =
     (Kernel.perf k).Perf.logging_faults_log_addr;
   let r = Lvm.Log_reader.read_at k ls ~off:(599 * 16) in
   check "last record value" 599 r.Log_record.value
+
+(* A data page faulted in while the log's entry sits invalid at a page
+   crossing: the PMT-miss repair must service that crossing (as the
+   log-address fault would) rather than re-arm at the start of the page
+   just filled. At an 8-byte stride the second data page is first
+   touched by write 512, right after the records of 256..511 filled log
+   page 1. *)
+let test_pmt_miss_at_log_page_crossing () =
+  let k, sp = boot () in
+  let seg = Kernel.create_segment k ~size:(4 * Addr.page_size) in
+  let r = Kernel.create_region k seg in
+  let ls = Kernel.create_log_segment k ~size:(64 * Addr.page_size) in
+  Kernel.set_region_log k r (Some ls);
+  let base = Kernel.bind k sp r in
+  for i = 0 to 999 do
+    Kernel.write_word k sp (base + (i * 8)) i
+  done;
+  Alcotest.(check (list int)) "every record, in order" (List.init 1000 Fun.id)
+    (List.map
+       (fun r -> r.Log_record.value)
+       (Lvm.Log_reader.to_list k ls));
+  check "no record lost" 0 (Kernel.perf k).Perf.log_records_lost
 
 let test_log_capacity_absorbs_then_extends () =
   let k, sp, _seg, _r, ls, base = logged_fixture ~log_pages:1 () in
@@ -597,6 +633,8 @@ let suites =
         Alcotest.test_case "unaligned rejected" `Quick
           test_kernel_unaligned_rejected;
         Alcotest.test_case "manager fill hook" `Quick test_kernel_manager_fill;
+        Alcotest.test_case "create allocates under 128 KiB" `Quick
+          test_kernel_create_allocation;
         Alcotest.test_case "shared segment two spaces" `Quick
           test_kernel_shared_segment_two_spaces;
       ] );
@@ -607,6 +645,8 @@ let suites =
         Alcotest.test_case "locate record" `Quick test_logged_records_locate;
         Alcotest.test_case "page crossing" `Quick
           test_log_page_crossing_extends;
+        Alcotest.test_case "pmt miss at a log page crossing" `Quick
+          test_pmt_miss_at_log_page_crossing;
         Alcotest.test_case "absorb then extend" `Quick
           test_log_capacity_absorbs_then_extends;
         Alcotest.test_case "disable/enable" `Quick test_logging_disable_enable;
