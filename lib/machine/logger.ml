@@ -286,7 +286,7 @@ let rec service_one t (w : raw) ~attempts =
         emit t entry ~record_addr:entry.next_addr ~paddr:w.w_paddr
           ~vaddr:w.w_vaddr ~size:w.w_size ~value:w.w_value
           ~timestamp:w.w_timestamp ~pre_image:w.w_pre_image;
-        let start = max w.w_arrival t.free_at in
+        let start = Int.max w.w_arrival t.free_at in
         let lookup_done = start + Cycles.logger_lookup in
         let dma_internal =
           Cycles.log_record_dma_total - Cycles.log_record_dma_bus
@@ -339,11 +339,11 @@ let admit t ~arrival =
       t.perf.Perf.overloads <- t.perf.Perf.overloads + 1;
       Lvm_obs.Ctx.event t.obs ~at:arrival
         (Lvm_obs.Event.Overload_enter { occupancy });
-      let drained = max arrival (Fifo.last_drain_time t.fifo) in
+      let drained = Int.max arrival (Fifo.last_drain_time t.fifo) in
       let resume = drained + Cycles.overload_suspend in
       t.perf.Perf.overload_cycles <-
         t.perf.Perf.overload_cycles + (resume - arrival);
-      t.clock := max !(t.clock) resume;
+      t.clock := Int.max !(t.clock) resume;
       Lvm_obs.Ctx.event t.obs ~at:resume
         (Lvm_obs.Event.Overload_exit { suspended = resume - arrival });
       Fifo.drain_until t.fifo ~now:!(t.clock)
@@ -354,7 +354,7 @@ let admit t ~arrival =
       while Fifo.occupancy t.fifo ~now:!(t.clock) >= t.onchip_buffer do
         match Fifo.head_drain_time t.fifo with
         | None -> ()
-        | Some d -> t.clock := max !(t.clock) d
+        | Some d -> t.clock := Int.max !(t.clock) d
       done
     end
 
@@ -455,7 +455,7 @@ let rec emit_phys t ~log_index (g : Log_record.Codec.group) ~attempts =
       else begin
         let arrival = !(t.clock) in
         admit t ~arrival;
-        let arrival = max arrival !(t.clock) in
+        let arrival = Int.max arrival !(t.clock) in
         match fault_check t ~site:Lvm_fault.Fault.Log_dma ~cycle:!(t.clock) with
         | Some Lvm_fault.Fault.Dma_fail ->
           (* the whole physical record is lost in flight *)
@@ -467,7 +467,7 @@ let rec emit_phys t ~log_index (g : Log_record.Codec.group) ~attempts =
           entry.next_addr <- addr + glen;
           if Addr.page_offset entry.next_addr = 0 then entry.l_valid <- false;
           let units = (glen + Log_record.bytes - 1) / Log_record.bytes in
-          let start = max arrival t.free_at in
+          let start = Int.max arrival t.free_at in
           let lookup_done = start + Cycles.logger_lookup in
           let dma_internal =
             Cycles.log_record_dma_total - Cycles.log_record_dma_bus
@@ -538,7 +538,7 @@ let service_batch t raws =
             let arrival = !(t.clock) in
             admit t ~arrival;
             service_one t
-              { w with w_arrival = max arrival !(t.clock) }
+              { w with w_arrival = Int.max arrival !(t.clock) }
               ~attempts:0)
           seg
       | Normal ->
@@ -595,7 +595,7 @@ let emit_coalesced t raws =
       (fun w ->
         let arrival = !(t.clock) in
         admit t ~arrival;
-        let arrival = max arrival !(t.clock) in
+        let arrival = Int.max arrival !(t.clock) in
         service_one t
           { w with
             w_arrival = arrival;
@@ -617,7 +617,7 @@ let snoop ?old_value t ~paddr ~vaddr ~size ~value =
     | true, Some old ->
       let arrival = !(t.clock) in
       admit t ~arrival;
-      let arrival = max arrival !(t.clock) in
+      let arrival = Int.max arrival !(t.clock) in
       service_one t
         {
           w_paddr = paddr;
@@ -663,6 +663,6 @@ let snoop ?old_value t ~paddr ~vaddr ~size ~value =
       | Log_record.V0 ->
         let arrival = !(t.clock) in
         admit t ~arrival;
-        let arrival = max arrival !(t.clock) in
+        let arrival = Int.max arrival !(t.clock) in
         service_one t (raw_at arrival) ~attempts:0
   end

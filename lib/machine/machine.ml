@@ -102,7 +102,7 @@ let cpu_time t ~cpu =
   !(t.cpu.(cpu).clk)
 
 let max_time t =
-  Array.fold_left (fun acc c -> max acc !(c.clk)) 0 t.cpu
+  Array.fold_left (fun acc c -> Int.max acc !(c.clk)) 0 t.cpu
 
 let bus_contention_cycles t = Bus.contention_cycles t.bus
 

@@ -180,7 +180,7 @@ module View = struct
     let unapplied =
       Hashtbl.fold
         (fun _ ts acc ->
-          match acc with None -> Some ts | Some m -> Some (min m ts))
+          match acc with None -> Some ts | Some m -> Some (Int.min m ts))
         sh.stamps None
     in
     match unapplied with
@@ -191,7 +191,7 @@ module View = struct
       else sh.applied_ts
 
   let floor v =
-    Array.fold_left (fun acc sh -> max acc sh.base_ts) min_int v.sh
+    Array.fold_left (fun acc sh -> Int.max acc sh.base_ts) min_int v.sh
 
   (* The consistent cut. Clamping to the running maximum is safe: at the
      moment the cut reached [max_cut], every shard had applied all its
@@ -202,9 +202,9 @@ module View = struct
   let cut v =
     let c = ref max_int in
     for s = 0 to v.src.shards - 1 do
-      c := min !c (frontier v s)
+      c := Int.min !c (frontier v s)
     done;
-    let c = max !c (floor v) in
+    let c = Int.max !c (floor v) in
     if c > v.max_cut then v.max_cut <- c;
     v.max_cut
 

@@ -2,6 +2,7 @@ type t = {
   name : string;
   bounds : int array; (* strictly increasing upper bounds *)
   counts : int array; (* length bounds + 1; last bucket is overflow *)
+  pow2 : bool; (* bounds are a prefix of 0, 1, 2, 4, 8, ... *)
   mutable n : int;
   mutable sum : int;
   mutable max_seen : int;
@@ -15,10 +16,15 @@ let create ~name ~bounds =
       if i > 0 && b <= bounds.(i - 1) then
         invalid_arg "Histogram.create: bounds must be strictly increasing")
     bounds;
+  let rec pow2_from i =
+    i = Array.length bounds
+    || bounds.(i) = (if i = 0 then 0 else 1 lsl (i - 1)) && pow2_from (i + 1)
+  in
   {
     name;
     bounds = Array.copy bounds;
     counts = Array.make (Array.length bounds + 1) 0;
+    pow2 = pow2_from 0;
     n = 0;
     sum = 0;
     max_seen = min_int;
@@ -40,8 +46,22 @@ let bucket_of t v =
   done;
   !lo
 
+(* For [0 <= v < small], the bucket of [v] under [pow2_bounds ~max_exp:30];
+   one table for every histogram, built once. Under a shorter prefix of
+   those bounds the bucket is the smaller of that and the overflow
+   index. *)
+let small = 4096
+
+let small_buckets =
+  let full = create ~name:"" ~bounds:(pow2_bounds ~max_exp:30) in
+  Bytes.init small (fun v -> Char.chr (bucket_of full v))
+
 let observe t v =
-  let b = bucket_of t v in
+  let b =
+    if t.pow2 && v >= 0 && v < small then
+      Int.min (Char.code (Bytes.unsafe_get small_buckets v)) (Array.length t.bounds)
+    else bucket_of t v
+  in
   t.counts.(b) <- t.counts.(b) + 1;
   t.n <- t.n + 1;
   t.sum <- t.sum + v;

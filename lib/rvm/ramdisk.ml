@@ -82,36 +82,20 @@ let fnv_word h w =
   let h = fnv_byte h ((w lsr 16) land 0xFF) in
   fnv_byte h ((w lsr 24) land 0xFF)
 
-let checksum ~kind ~txn ~off ~len payload =
+let checksum ~kind ~txn ~off payload =
+  let len = Bytes.length payload in
   let h = fnv_word fnv_offset kind in
   let h = fnv_word h txn in
   let h = fnv_word h off in
   let h = fnv_word h len in
   let h = ref h in
-  Bytes.iter (fun c -> h := fnv_byte !h (Char.code c)) payload;
+  for i = 0 to len - 1 do
+    h := fnv_byte !h (Char.code (Bytes.get payload i))
+  done;
   !h
 
 let get32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land mask32
 let set32 b pos v = Bytes.set_int32_le b pos (Int32.of_int v)
-
-let serialize entry =
-  let kind, txn, off, payload =
-    match entry with
-    | Data { txn; off; bytes } -> (0, txn, off, bytes)
-    | Commit { txn } -> (1, txn, 0, Bytes.empty)
-    | Snapshot { snap } -> (2, snap, 0, Bytes.empty)
-    | Encoded { txn; payload } -> (3, txn, 0, payload)
-  in
-  let len = Bytes.length payload in
-  let b = Bytes.create (header_bytes + len) in
-  set32 b 0 wal_magic;
-  set32 b 4 kind;
-  set32 b 8 txn;
-  set32 b 12 off;
-  set32 b 16 len;
-  set32 b 20 (checksum ~kind ~txn ~off ~len payload);
-  Bytes.blit payload 0 b header_bytes len;
-  b
 
 (* The intact record at [pos] of the first [n] log bytes and the offset
    just past it, or why it does not parse. *)
@@ -127,7 +111,7 @@ let parse t ~n pos =
     if len > n - pos - header_bytes then Error "short payload"
     else
       let payload = Bytes.sub data (pos + header_bytes) len in
-      if checksum ~kind ~txn ~off ~len payload <> get32 data (pos + 20) then
+      if checksum ~kind ~txn ~off payload <> get32 data (pos + 20) then
         Error "checksum mismatch"
       else
         let next = pos + header_bytes + len in
@@ -154,15 +138,42 @@ let walk t ~n ~off ~init ~f =
 let log_bytes t = t.log_len
 let forced_bytes t = t.forced_len
 
-let append_raw t src ~len =
+(* Room for [len] more bytes past [log_len]. *)
+let reserve t len =
   let need = t.log_len + len in
   if need > Bytes.length t.log then begin
     let log = Bytes.make (max need (2 * Bytes.length t.log)) '\000' in
     Bytes.blit t.log 0 log 0 t.log_len;
     t.log <- log
-  end;
+  end
+
+let append_raw t src ~len =
+  reserve t len;
   Bytes.blit src 0 t.log t.log_len len;
   t.log_len <- t.log_len + len
+
+(* Serialize [entry] straight into the log just past [log_len], without
+   advancing [log_len]; the record's length. *)
+let write_record t entry =
+  let kind, txn, off, payload =
+    match entry with
+    | Data { txn; off; bytes } -> (0, txn, off, bytes)
+    | Commit { txn } -> (1, txn, 0, Bytes.empty)
+    | Snapshot { snap } -> (2, snap, 0, Bytes.empty)
+    | Encoded { txn; payload } -> (3, txn, 0, payload)
+  in
+  let len = Bytes.length payload in
+  let total = header_bytes + len in
+  reserve t total;
+  let b = t.log and pos = t.log_len in
+  set32 b pos wal_magic;
+  set32 b (pos + 4) kind;
+  set32 b (pos + 8) txn;
+  set32 b (pos + 12) off;
+  set32 b (pos + 16) len;
+  set32 b (pos + 20) (checksum ~kind ~txn ~off payload);
+  Bytes.blit payload 0 b (pos + header_bytes) len;
+  total
 
 (* {1 Scanning} *)
 
@@ -281,15 +292,12 @@ let wal_append t entry =
                       + (words legacy * Rvm_costs.disk_per_word));
   (* [fault_check] raises on an injected [Crash]: the machine dies before
      any byte of the record reaches the disk. *)
-  let fault = Machine.fault_check (machine t) ~site:Lvm_fault.Fault.Ramdisk_write in
-  let record = serialize entry in
-  let total = Bytes.length record in
-  match fault with
+  match Machine.fault_check (machine t) ~site:Lvm_fault.Fault.Ramdisk_write with
   | Some (Lvm_fault.Fault.Torn_write { keep }) ->
     (* A torn write is necessarily the last: part of the record reaches
        the disk, then the machine dies. *)
-    let keep = max 1 (min keep (total - 1)) in
-    append_raw t record ~len:keep;
+    let total = write_record t entry in
+    t.log_len <- t.log_len + max 1 (min keep (total - 1));
     raise (Lvm_fault.Fault.Crashed
              { cycle = Machine.time (machine t);
                site = Lvm_fault.Fault.Ramdisk_write })
@@ -297,13 +305,14 @@ let wal_append t entry =
     (* Lost write: the driver believes it succeeded; no byte is durable. *)
     ()
   | Some (Lvm_fault.Fault.Bit_flip { byte; bit }) ->
+    let total = write_record t entry in
     let pos = t.log_len + (((byte mod total) + total) mod total) in
-    append_raw t record ~len:total;
+    t.log_len <- t.log_len + total;
     t.charged_bytes <- t.charged_bytes + legacy;
     Bytes.set t.log pos
       (Char.chr (Char.code (Bytes.get t.log pos) lxor (1 lsl (bit land 7))))
   | Some _ | None ->
-    append_raw t record ~len:total;
+    t.log_len <- t.log_len + write_record t entry;
     t.charged_bytes <- t.charged_bytes + legacy
 
 let wal_force t =
@@ -346,8 +355,7 @@ let rebuild_log t entries =
   t.charged_bytes <- 0;
   List.iter
     (fun e ->
-      let record = serialize e in
-      append_raw t record ~len:(Bytes.length record);
+      t.log_len <- t.log_len + write_record t e;
       t.charged_bytes <- t.charged_bytes + entry_bytes e)
     entries;
   (* a rebuilt log is durable in full (truncation and recovery both force

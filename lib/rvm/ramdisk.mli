@@ -70,6 +70,11 @@ val redo :
     gives the new value of image bytes [off .. off + length bytes - 1]
     under transaction [txn]. *)
 
+val checksum : kind:int -> txn:int -> off:int -> Bytes.t -> int
+(** A record's FNV-1a checksum: the low 32 bits of each of [kind],
+    [txn], [off] and the payload length, little-endian byte by byte,
+    then every payload byte. *)
+
 val wal_append : t -> entry -> unit
 (** Serialize and append a redo or commit record, charging driver
     overhead and the copy at the cost model's record size. *)

@@ -75,7 +75,7 @@ let compute_gvt t =
     (fun acc s ->
       match Scheduler.min_pending_time s with
       | None -> acc
-      | Some m -> min acc m)
+      | Some m -> Int.min acc m)
     max_int t.scheds
 
 let run t ~end_time =
@@ -91,7 +91,7 @@ let run t ~end_time =
       t.scheds;
     ignore (deliver t);
     let gvt = compute_gvt t in
-    let gvt = min gvt end_time in
+    let gvt = Int.min gvt end_time in
     t.gvt <- gvt;
     Array.iter (fun s -> Scheduler.fossil_collect s ~gvt) t.scheds;
     if gvt < end_time then loop ()

@@ -395,7 +395,7 @@ let run store spec =
   in
   (* Route-aware: a moved bucket changes which worker claims the key.
      The per-key closures are built once, not per call. *)
-  let min_shard acc key = min acc (Store.shard_of_key store key) in
+  let min_shard acc key = Int.min acc (Store.shard_of_key store key) in
   let home_of entry = fold_keys min_shard (shards - 1) entry in
   let any_busy held key = held || busy.(Store.shard_of_key store key) in
   let claim () key = busy.(Store.shard_of_key store key) <- true in
@@ -636,17 +636,17 @@ let run store spec =
   in
   (* The horizon spin. Under [quiescent], a blocked worker [i] spins
      and nothing else moves, so while its clock is below every other
-     live task's key it stays [better]'s pick whatever the tie rules.
+     live task's key it stays the loop's pick whatever the tie rules.
      It spins in place up to that horizon: the same rounds of
      [blocked_spin_cycles], each its own [Kernel.compute], that one
      scheduler visit per spin would run. At the horizon the loop picks
-     again, so a tie is settled by [better] as before. A task keyed on
+     again, so a tie is settled as before. A task keyed on
      [i]'s own CPU puts the horizon at [i]'s clock: no spin. *)
   let spin_to_horizon i =
     let horizon = ref max_int in
     for j = 0 to shards - 1 do
       if j <> i && live j then
-        horizon := min !horizon (Kernel.cpu_time k ~cpu:(next_cpu j))
+        horizon := Int.min !horizon (Kernel.cpu_time k ~cpu:(next_cpu j))
     done;
     if !horizon = max_int then
       (* No task is left to release the held shard. *)
@@ -654,8 +654,12 @@ let run store spec =
         (Error.Invalid
            { op = "Workload.run";
              reason = "blocked worker has no live task to unblock it" });
-    while Kernel.cpu_time k ~cpu:i < !horizon do
-      Kernel.compute k blocked_spin_cycles
+    (* [Kernel.compute] adds exactly its cycles to [i]'s clock, so a
+       local copy tracks it without re-reading the machine. *)
+    let clock = ref (Kernel.cpu_time k ~cpu:i) in
+    while !clock < !horizon do
+      Kernel.compute k blocked_spin_cycles;
+      clock := !clock + blocked_spin_cycles
     done
   in
   let step i =
@@ -732,24 +736,25 @@ let run store spec =
      load-bearing: a worker blocked on shard admission spins on the very
      CPU a parked cross-shard transaction is keyed on (the coordinator),
      so their keys stay tied forever — the spinner must lose the tie or
-     the transaction holding the shard never runs again. *)
-  let better i best =
-    let ki = Kernel.cpu_time k ~cpu:(next_cpu i) in
-    let kb = Kernel.cpu_time k ~cpu:(next_cpu best) in
-    ki < kb
-    || ki = kb
-       && (match (states.(i), states.(best)) with
-          | Running _, Idle -> true
-          | _ -> false)
-  in
+     the transaction holding the shard never runs again. Each live
+     task's key is read once per round. *)
+  let running i = match states.(i) with Running _ -> true | Idle -> false in
   let rec loop stalled =
     transfer_arrivals ();
     maybe_advise ();
     drive_move ();
     drain_reads ~final:false;
-    let best = ref (-1) in
+    let best = ref (-1) and best_key = ref 0 in
     for i = 0 to shards - 1 do
-      if live i && (!best < 0 || better i !best) then best := i
+      if live i then begin
+        let key = Kernel.cpu_time k ~cpu:(next_cpu i) in
+        if !best < 0 || key < !best_key
+           || (key = !best_key && running i && not (running !best))
+        then begin
+          best := i;
+          best_key := key
+        end
+      end
     done;
     if !best >= 0 then begin
       step !best;

@@ -236,6 +236,32 @@ let crash_points () =
       | exception Lvm_fault.Fault.Crashed { cycle; _ } ->
         (at, cycle, Lvm_machine.Machine.current_cpu m))
 
+(* A store-2pc run (4 shards, 20% cross-shard) armed at cycles inside
+   two of its horizon spins: on CPU 0 over [257776, 296568) and on CPU 1
+   over [882080, 919994) of the unarmed run. The CPU that set each
+   horizon already stands past the armed cycle, so the crash lands at
+   its next crash boundary. Each point: the armed cycle, then the cycle
+   and CPU the crash hit and [Kernel.max_time]; [0] is the unarmed run. *)
+let spin_crashes () =
+  let config = { Store.Config.default with shards = 4; keys = 4096 } in
+  let spec = { Workload.default with txns = 200; cross_pct = 20 } in
+  List.map
+    (fun at ->
+      let st = Store.create config in
+      let k = Store.kernel st in
+      let m = Lvm_vm.Kernel.machine k in
+      if at > 0 then
+        Lvm_machine.Machine.set_fault_plan m
+          (Some (Lvm_fault.Plan.crash_at at));
+      let cycle, cpu =
+        match Workload.run st spec with
+        | _ -> (-1, -1)
+        | exception Lvm_fault.Fault.Crashed { cycle; _ } ->
+          (cycle, Lvm_machine.Machine.current_cpu m)
+      in
+      (at, (cycle, cpu, Lvm_vm.Kernel.max_time k)))
+    [ 0; 267853; 900001 ]
+
 (* The located replay under each record path — prototype V0, V1, and
    the on-chip logger's virtual addresses with pre-image records — on
    the two Section 2.4 operations (a rollback to half the log, then a
@@ -643,6 +669,15 @@ let test_store_schedules () =
       (6395344, 6400160, 0); (7461235, 7461235, 1) ]
     (crash_points ())
 
+(* Generated before a horizon spin kept its CPU's clock locally. *)
+let test_spin_crashes () =
+  Alcotest.(check (list (pair int (triple int int int))))
+    "store-2pc spin crash points"
+    [ (0, (-1, -1, 3873996));
+      (267853, (296568, 3, 296568));
+      (900001, (919994, 0, 919994)) ]
+    (spin_crashes ())
+
 let suites =
   [ ( "golden",
       [ Alcotest.test_case "phold lvm 4-cpu cycles" `Quick test_phold_lvm_4cpu;
@@ -656,5 +691,7 @@ let suites =
         Alcotest.test_case "reverse-exec session cycles" `Quick
           test_reverse_exec_session;
         Alcotest.test_case "store workload schedules" `Quick
-          test_store_schedules ]
+          test_store_schedules;
+        Alcotest.test_case "store horizon spin crashes" `Quick
+          test_spin_crashes ]
     ) ]

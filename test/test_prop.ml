@@ -951,6 +951,13 @@ let prop_line_charge_crash rng size =
 
 (* {1 Histogram buckets vs a linear scan} *)
 
+(* The first bucket whose bound is >= [v]; the overflow bucket past
+   the last bound. *)
+let linear_bucket bounds v =
+  let n = Array.length bounds in
+  let rec first i = if i = n || v <= bounds.(i) then i else first (i + 1) in
+  first 0
+
 let prop_histogram_bucket rng size =
   let n = 1 + Sm.int rng ~bound:16 in
   let bounds = Array.make n (Sm.int rng ~bound:100 - 50) in
@@ -963,12 +970,75 @@ let prop_histogram_bucket rng size =
   for _ = 1 to size do
     let v = lo + Sm.int rng ~bound:span in
     Lvm_obs.Histogram.observe h v;
-    let rec first i = if i = n || v <= bounds.(i) then i else first (i + 1) in
-    let b = first 0 in
+    let b = linear_bucket bounds v in
     model.(b) <- model.(b) + 1
   done;
   expect (Lvm_obs.Histogram.counts h = model) "%d bounds: bucket counts differ"
     n
+
+(* Every value that could take the shared small-value table's path and
+   its edges, under every [pow2_bounds] shape and some that are not:
+   each lands where the linear scan (and so the binary search, by the
+   property above) puts it. *)
+let test_histogram_pow2_table () =
+  let values =
+    List.init 5006 (fun i -> i - 5)
+    @ List.concat
+        (List.init 62 (fun k ->
+             let p = 1 lsl k in
+             [ p - 1; p; p + 1 ]))
+    @ [ min_int; max_int ]
+  in
+  let not_pow2 =
+    [ [| 0; 1; 2; 4; 8; 16; 33 |]; [| 1; 2; 4; 8 |]; [| 0; 1; 3; 4 |];
+      [| 0; 2; 4; 8 |]; [| 0 |]; [| -10; 0; 5; 4095; 4096; 10_000 |] ]
+  in
+  List.iter
+    (fun bounds ->
+      let n = Array.length bounds in
+      let h = Lvm_obs.Histogram.create ~name:"h" ~bounds in
+      let model = Array.make (n + 1) 0 in
+      List.iter
+        (fun v ->
+          Lvm_obs.Histogram.observe h v;
+          let b = linear_bucket bounds v in
+          model.(b) <- model.(b) + 1;
+          if Lvm_obs.Histogram.counts h <> model then
+            Alcotest.failf "%d bounds ending %d: %d not in bucket %d" n
+              bounds.(n - 1) v b)
+        values)
+    (List.init 31 (fun max_exp -> Lvm_obs.Histogram.pow2_bounds ~max_exp)
+     @ not_pow2)
+
+(* {1 WAL checksum vs a byte-wise FNV-1a} *)
+
+let fnv1a bytes =
+  Bytes.fold_left
+    (fun h c -> (h lxor Char.code c) * 16777619 land 0xFFFFFFFF)
+    0x811C9DC5 bytes
+
+let prop_wal_checksum rng size =
+  (* the reference itself, against FNV-1a's published 32-bit vectors *)
+  expect
+    (fnv1a Bytes.empty = 0x811C9DC5
+    && fnv1a (Bytes.of_string "a") = 0xE40C292C
+    && fnv1a (Bytes.of_string "foobar") = 0xBF9CF968)
+    "fnv1a reference vectors";
+  let u32 () = Int64.to_int (Int64.logand (Sm.next_u64 rng) 0xFFFFFFFFL) in
+  let kind = if Sm.int rng ~bound:2 = 0 then Sm.int rng ~bound:4 else u32 () in
+  let txn = u32 () and off = u32 () in
+  let payload =
+    Bytes.init (Sm.int rng ~bound:(size + 1)) (fun _ ->
+        Char.chr (Sm.int rng ~bound:256))
+  in
+  let header = Bytes.create 16 in
+  List.iteri
+    (fun i w -> Bytes.set_int32_le header (4 * i) (Int32.of_int w))
+    [ kind; txn; off; Bytes.length payload ];
+  let want = fnv1a (Bytes.cat header payload) in
+  let got = Lvm_rvm.Ramdisk.checksum ~kind ~txn ~off payload in
+  expect (got = want) "kind %d txn %d off %d, %d payload bytes: %x, want %x"
+    kind txn off (Bytes.length payload) got want
 
 let prop name ?max_size ?cases:c p =
   let shown = match c with None -> cases | Some c -> c in
@@ -995,6 +1065,9 @@ let suites =
           ~cases:(min cases 200) prop_line_charge_crash;
         prop "histogram bucket vs linear scan" ~max_size:64
           ~cases:(min cases 300) prop_histogram_bucket;
+        Alcotest.test_case "histogram pow2 table = binary search" `Quick
+          test_histogram_pow2_table;
+        prop "wal checksum = byte-wise fnv-1a" ~max_size:512 prop_wal_checksum;
         prop "pmt vs direct-mapped reference" ~max_size:64
           ~cases:(min cases 200) prop_pmt;
         Alcotest.test_case "saturation overloads" `Quick test_overload_fires;

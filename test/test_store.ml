@@ -23,10 +23,9 @@ let make ?(shards = 2) ?(keys = 32) ?(admission = Store.Config.Queue) () =
    must not carry a table the size of the logger's whole PMT per shard
    machine. *)
 let test_create_allocation () =
-  let before = Gc.allocated_bytes () in
-  let st = Store.create Store.Config.default in
-  let bytes = Gc.allocated_bytes () -. before in
-  ignore (Sys.opaque_identity st);
+  let bytes =
+    Test_util.allocated_bytes (fun () -> Store.create Store.Config.default)
+  in
   check_bool
     (Printf.sprintf "%.0f bytes allocated by Store.create (4 x 1024)" bytes)
     true

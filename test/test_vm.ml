@@ -151,10 +151,7 @@ let test_kernel_unaligned_rejected () =
    2^15-slot PMT once cost 1.3 MB here; it now grows with the slots
    loaded. *)
 let test_kernel_create_allocation () =
-  let before = Gc.allocated_bytes () in
-  let k = Kernel.create () in
-  let bytes = Gc.allocated_bytes () -. before in
-  ignore (Sys.opaque_identity k);
+  let bytes = Test_util.allocated_bytes Kernel.create in
   check_bool
     (Printf.sprintf "%.0f bytes allocated by Kernel.create" bytes)
     true
