@@ -660,20 +660,11 @@ let store_cmd =
                    commit timestamp $(docv) and probe a few keys \
                    through it.")
   in
+  (* [Store.create] and [Workload.run] validate every option before
+     running anything; their typed errors are usage errors here. *)
   let run shards txns cross writes seed group compute zipf split rate
       open_gap queue_cap read_heavy snap_readers as_of json metrics =
-    if shards <= 0 then `Error (false, "--shards must be positive")
-    else if txns <= 0 then `Error (false, "--txns must be positive")
-    else if writes <= 0 then `Error (false, "--writes must be positive")
-    else if cross < 0 || cross > 100 then
-      `Error (false, "--cross must be a percentage")
-    else if group <= 0 then `Error (false, "--group must be positive")
-    else if rate < 0. then `Error (false, "--rate must be non-negative")
-    else if queue_cap <> None && open_gap = None then
-      `Error (false, "--queue-cap needs --open")
-    else if (match snap_readers with Some n -> n <= 0 | None -> false) then
-      `Error (false, "--snapshot-readers must be positive")
-    else begin
+    match
       with_metrics ~label:"store" metrics (fun () ->
           let open Lvm_tools.Output_stream.Envelope in
           let st =
@@ -765,9 +756,11 @@ let store_cmd =
                            [ ("shard", Int i); ("txns", Int s.txns);
                              ("cycles", Int s.cycles) ])
                        r.Lvm_store.Workload.per_shard)));
-              ("as_of", Option.fold ~none:Null ~some:as_of_probe as_of) ]);
-      `Ok ()
-    end
+              ("as_of", Option.fold ~none:Null ~some:as_of_probe as_of) ])
+    with
+    | () -> `Ok ()
+    | exception Lvm_vm.Error.Lvm_error e ->
+      `Error (false, Lvm_vm.Error.to_string e)
   in
   Cmd.v
     (Cmd.info "store"

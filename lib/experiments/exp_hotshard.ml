@@ -24,8 +24,8 @@ let point ~shards ~dist ~split =
 let split_spec =
   { W.check_every = 40; batch = 32; max_moves = 8;
     advisor =
-      { Lvm_store.Splitter.Config.default with
-        min_delta = 24; imbalance = 1.2; merge_below = 0.0 } }
+      { Lvm_store.Splitter.Config.min_delta = 24; imbalance = 1.2;
+        merge_below = 0.0 } }
 
 let recovery (u : W.result) (zs : W.result) =
   u.cycles_per_txn /. zs.cycles_per_txn

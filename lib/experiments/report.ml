@@ -29,12 +29,10 @@ let table ppf ~header rows =
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row rows
 
-let paper_row ~label ~paper ~measured = [ label; paper; measured ]
-
 let comparison ppf rows =
   table ppf
     ~header:[ "quantity"; "paper"; "measured" ]
-    (List.map (fun (l, p, m) -> paper_row ~label:l ~paper:p ~measured:m) rows)
+    (List.map (fun (l, p, m) -> [ l; p; m ]) rows)
 
 let note ppf s = Format.fprintf ppf "note: %s@." s
 let fi = string_of_int

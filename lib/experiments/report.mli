@@ -7,10 +7,6 @@ val subsection : Format.formatter -> string -> unit
 val table : Format.formatter -> header:string list -> string list list -> unit
 (** Render rows under a header with aligned columns. *)
 
-val paper_row : label:string -> paper:string -> measured:string -> string list
-(** A three-column comparison row for {!table} with header
-    [["quantity"; "paper"; "measured"]]. *)
-
 val comparison :
   Format.formatter -> (string * string * string) list -> unit
 (** A full paper-vs-measured table from (label, paper, measured) rows. *)

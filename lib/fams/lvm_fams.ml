@@ -22,11 +22,6 @@ type report = {
   absorbed : bool;
 }
 
-let report_to_string r =
-  Printf.sprintf "snap=%d spans=%d bytes=%d log_records=%d forced=%b%s"
-    r.snap r.spans r.bytes r.log_records r.forced
-    (if r.absorbed then " absorbed" else "")
-
 let map config k space ~size =
   Lvm_error.guard @@ fun () ->
   let d = Durable.map ~op:"Fams.map" config k space ~size in

@@ -87,8 +87,6 @@ val recover : t -> (Lvm_rvm.Ramdisk.recovery, Lvm.Lvm_error.t) result
     recovered state, clear the hardware log and re-enable logging.
     Idempotent. Unwritten epochs die; snapshot ids stay monotonic. *)
 
-val report_to_string : report -> string
-
 (** {1 Accessors} *)
 
 val kernel : t -> Lvm_vm.Kernel.t

@@ -76,8 +76,6 @@ let kind_name = function
   | Net_dup -> "net_dup"
   | Net_reorder -> "net_reorder"
 
-let pp_site ppf s = Format.pp_print_string ppf (site_name s)
-let pp_kind ppf k = Format.pp_print_string ppf (kind_name k)
 
 let () =
   Printexc.register_printer (function

@@ -76,5 +76,3 @@ val kind_code : kind -> int
 
 val site_name : site -> string
 val kind_name : kind -> string
-val pp_site : Format.formatter -> site -> unit
-val pp_kind : Format.formatter -> kind -> unit

@@ -243,6 +243,8 @@ let reserve t ~bytes ~max_pages =
 
 (* {1 Truncation and compaction} *)
 
+(* Declare records before byte [upto] dead: whole extents below the
+   watermark become [Truncatable]. Does not move data. *)
 let mark_truncatable t ~upto =
   sync t;
   if upto < 0 || upto > Segment.write_pos t.seg then
@@ -275,6 +277,7 @@ let write_stream_bytes t buf =
     off := !off + chunk
   done
 
+(* Recycle everything below the truncation watermark. *)
 let compact t =
   sync t;
   let seg = t.seg in

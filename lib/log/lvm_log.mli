@@ -22,7 +22,7 @@
     the kernel re-points the log-table entry and this module accounts the
     switch (and whether the extent was a recycled one — steady-state
     logging stops allocating once the ring is primed). Compaction
-    ({!compact}) recycles truncatable extents with the kernel's bcopy
+    ({!truncate}) recycles truncatable extents with the kernel's bcopy
     path, exactly as the seed's offset-based [truncate_log] did, so
     costs are unchanged.
 
@@ -33,7 +33,7 @@
     commit forces immediately and all Table 3 numbers are bit-identical
     to the ungrouped implementation.
 
-    All bookkeeping here is cycle-free; only {!compact}'s bcopy and the
+    All bookkeeping here is cycle-free; only {!truncate}'s bcopy and the
     page materialization of extension charge machine time, through the
     same kernel primitives the seed used. *)
 
@@ -116,20 +116,14 @@ val reserve : t -> bytes:int -> max_pages:int -> unit
     just enough, or raise typed [Error.Log_exhausted] {e before} the
     caller issues the writes if that would exceed [max_pages]. *)
 
-val mark_truncatable : t -> upto:int -> unit
-(** A commit or checkpoint declares records before byte [upto] dead;
-    whole extents below the watermark become [Truncatable]. Raises
-    [Error.Out_of_range] unless [0 <= upto <= length]. Does not move
-    data — pair with {!compact}. *)
-
-val compact : t -> unit
-(** Recycle everything below the truncation watermark: compact the kept
-    suffix to the front of the segment (kernel bcopy, charged), recycle
-    the freed extents, re-arm the logger at the new write position. *)
-
 val truncate : t -> keep_from:int -> unit
-(** [mark_truncatable ~upto:keep_from] followed by {!compact}: the
-    seed's [truncate_log], now expressed in lifecycle terms. *)
+(** Declare the records before byte [keep_from] dead (a commit or
+    checkpoint made them redundant; whole extents below it become
+    [Truncatable]), then compact: move the kept suffix to the front of
+    the segment (kernel bcopy, charged), recycle the freed extents and
+    re-arm the logger at the new write position — the seed's
+    [truncate_log], expressed in lifecycle terms. Raises
+    [Error.Out_of_range] unless [0 <= keep_from <= length]. *)
 
 val truncate_suffix : t -> new_end:int -> unit
 (** Discard records at and after byte [new_end] (rollback: replayed

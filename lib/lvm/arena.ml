@@ -25,18 +25,16 @@ let make_side k space ~bytes ~log =
   let base = Kernel.bind k space region in
   { region; base; bytes = Segment.size seg; next = 0 }
 
-let create ?(logged_bytes = 16 * Addr.page_size)
-    ?(unlogged_bytes = 16 * Addr.page_size) k space =
+let create ?(logged_bytes = 16 * Addr.page_size) k space =
   let ls = Kernel.create_log_segment k ~size:(16 * Addr.page_size) in
   {
     logged = make_side k space ~bytes:logged_bytes ~log:(Some ls);
-    unlogged = make_side k space ~bytes:unlogged_bytes ~log:None;
+    unlogged = make_side k space ~bytes:(16 * Addr.page_size) ~log:None;
     ls;
   }
 
 let log t = t.ls
 let logged_region t = t.logged.region
-let unlogged_region t = t.unlogged.region
 let side t ~logged = if logged then t.logged else t.unlogged
 
 let alloc t ~logged ~words =

@@ -12,16 +12,15 @@
 type t
 
 val create :
-  ?logged_bytes:int -> ?unlogged_bytes:int -> Lvm_vm.Kernel.t ->
-  Lvm_vm.Address_space.t -> t
-(** Arenas default to 16 pages each; the logged arena's log segment is
-    created automatically (16 pages, extendable via {!log}). *)
+  ?logged_bytes:int -> Lvm_vm.Kernel.t -> Lvm_vm.Address_space.t -> t
+(** The logged arena defaults to 16 pages, the unlogged arena is 16
+    pages; the logged arena's log segment is created automatically (16
+    pages, extendable via {!log}). *)
 
 val log : t -> Lvm_vm.Segment.t
 (** The logged arena's log segment. *)
 
 val logged_region : t -> Lvm_vm.Region.t
-val unlogged_region : t -> Lvm_vm.Region.t
 
 exception Arena_full
 

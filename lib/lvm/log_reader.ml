@@ -8,32 +8,18 @@ let length k ls =
   Kernel.sync_log k ls;
   Segment.write_pos ls
 
-(* Fold over physical records — the stream's containers. Under V0 every
-   container is one bare record; under V1 a container may carry a run of
-   records (or none: version headers and pads). [next] is the offset just
-   past the container. *)
+(* Fold over the physical records of a V1 stream — its containers. A
+   container may carry a run of records (or none: version headers and
+   pads). [next] is the offset just past the container. Records are
+   variable-length and deltas need look-behind, so the stream is parsed
+   as one contiguous copy. *)
 let fold_phys k ls ~init ~f =
-  match Lvm_log.stream_version k ls with
-  | Log_record.V1 ->
-    (* Records are variable-length and deltas need look-behind, so the
-       stream is parsed as one contiguous copy. *)
-    let buf = Lvm_log.snapshot_bytes k ls ~len:(length k ls) in
-    let acc = ref init in
-    ignore
-      (Log_record.Codec.scan buf ~pos:0 ~len:(Bytes.length buf)
-         ~f:(fun ~off ~next rs -> acc := f !acc ~off ~next rs));
-    !acc
-  | Log_record.V0 ->
-    let mem = Machine.mem (Kernel.machine k) in
-    let len = length k ls in
-    let rec go acc off =
-      if off + Log_record.bytes > len then acc
-      else
-        let paddr = Kernel.paddr_of k ls ~off in
-        let r = Log_record.decode_from mem ~paddr in
-        go (f acc ~off ~next:(off + Log_record.bytes) [ r ]) (off + Log_record.bytes)
-    in
-    go init 0
+  let buf = Lvm_log.snapshot_bytes k ls ~len:(length k ls) in
+  let acc = ref init in
+  ignore
+    (Log_record.Codec.scan buf ~pos:0 ~len:(Bytes.length buf)
+       ~f:(fun ~off ~next rs -> acc := f !acc ~off ~next rs));
+  !acc
 
 let record_count k ls =
   match Lvm_log.stream_version k ls with
@@ -183,9 +169,3 @@ let fold_in k ls ~seg ~init ~f =
 
 let iter_in k ls ~seg ~f =
   fold_in k ls ~seg ~init:() ~f:(fun () ~rec_off ~off r -> f ~rec_off ~off r)
-
-let vaddr_in ~base ~region seg off =
-  if Segment.id (Region.segment region) <> Segment.id seg then None
-  else
-    let rel = off - Region.seg_offset region in
-    if rel < 0 || rel >= Region.size region then None else Some (base + rel)

@@ -8,8 +8,7 @@
 
     Prototype-logger records carry physical addresses; {!seg_offset}
     translates them back to an offset in a segment through the kernel's
-    frame map, and {!vaddr_in} further maps that into a bound region's
-    virtual range. *)
+    frame map. *)
 
 type kernel = Lvm_vm.Kernel.t
 type segment = Lvm_vm.Segment.t
@@ -24,11 +23,11 @@ val record_count : kernel -> segment -> int
 val fold_phys :
   kernel -> segment -> init:'a ->
   f:('a -> off:int -> next:int -> Lvm_machine.Log_record.t list -> 'a) -> 'a
-(** Untimed fold over {e physical} records — the stream's containers.
-    Under [V0] every container is one record; under [V1] a container may
-    decode to several logical records (a run) or none (the version
-    header, pads). [next] is the offset just past the container, the
-    only valid truncation points of a [V1] stream. *)
+(** Untimed fold over the {e physical} records of a [V1] stream — its
+    containers. A container may decode to several logical records (a
+    run) or none (the version header, pads). [next] is the offset just
+    past the container, the only valid truncation points of a [V1]
+    stream. A [V0] stream is read with {!fold}. *)
 
 val read_at : kernel -> segment -> off:int -> Lvm_machine.Log_record.t
 (** Untimed parse of the record at byte offset [off]. *)
@@ -110,8 +109,3 @@ val fold_in :
 val iter_in :
   kernel -> segment -> seg:segment ->
   f:(rec_off:int -> off:int -> Lvm_machine.Log_record.t -> unit) -> unit
-
-val vaddr_in :
-  base:int -> region:Lvm_vm.Region.t -> Lvm_vm.Segment.t -> int -> int option
-(** [vaddr_in ~base ~region seg off] is the virtual address of segment
-    offset [off] within [region] bound at [base], if covered. *)

@@ -7,8 +7,6 @@ type t =
   | Moved of { key : int; shard : int }
   | Snapshot_unavailable of { ts : int; floor : int; frontier : int }
 
-let of_vm e = Vm e
-
 let to_string = function
   | Vm e -> Lvm_vm.Error.to_string e
   | Overloaded { shard } -> Printf.sprintf "overloaded(shard %d)" shard

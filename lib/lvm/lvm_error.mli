@@ -32,8 +32,6 @@ type t =
           timestamps lie in [[floor, frontier]]; a released or
           recovery-invalidated snapshot also reports this. *)
 
-val of_vm : Lvm_vm.Error.t -> t
-
 val to_string : t -> string
 (** Human-readable rendering. *)
 

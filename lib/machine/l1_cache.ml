@@ -113,8 +113,4 @@ let invalidate_line t ~paddr =
   end
   else false
 
-let invalidate_all t =
-  Array.fill t.tags 0 n_lines (-1);
-  Array.fill t.dirty 0 n_lines false
-
 let contains_line t ~paddr = t.tags.(slot t paddr) = Addr.line_number paddr

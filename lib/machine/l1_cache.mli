@@ -48,7 +48,5 @@ val invalidate_line : t -> paddr:int -> bool
     processors consistent). Charges no cycles; the snoop rides the
     already-charged bus transaction. *)
 
-val invalidate_all : t -> unit
-
 val contains_line : t -> paddr:int -> bool
 (** Whether the line holding [paddr] is resident (for tests). *)

@@ -72,12 +72,6 @@ module Codec : sig
   val header_bytes : int
   (** Size of the version record a V1 stream opens with (8). *)
 
-  val max_run : int
-  (** Longest run one record can carry (255 values). *)
-
-  val max_pad_bytes : int
-  (** Largest pad a page boundary can cost (the emitter splits runs). *)
-
   val worst_case_bytes : writes:int -> int
   (** Reservation bound: encoded size of [writes] logical records in the
       worst case, version header and page pads included. *)
@@ -99,9 +93,6 @@ module Codec : sig
   val encode_pad : len:int -> Bytes.t
   (** A pad record of [len] bytes (>= 4, word multiple): skipped by the
       decoder, emitted when the next record would straddle a page. *)
-
-  val encode_fragment : t list -> Bytes.t
-  (** Encode a batch as one contiguous stream fragment (no header). *)
 
   val encode_stream : t list -> Bytes.t
   (** Version header followed by the encoded batch. *)

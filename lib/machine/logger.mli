@@ -88,9 +88,6 @@ val records_old_values : t -> bool
 val codec : t -> Log_record.version
 val coalesce_depth : t -> int
 
-val coalesce_pending : t -> int
-(** Writes currently parked in the coalescing buffer. *)
-
 val pending_log_bytes_bound : t -> int
 (** Worst-case log bytes the coalescing buffer can still emit (version
     header and page pads included under [V1]) — the log-lifecycle layer

@@ -222,8 +222,6 @@ let bcopy t ~src ~dst ~len =
 let dc_map t ~dst_page ~src_addr =
   Deferred_cache.map t.deferred ~dst_page ~src_addr
 
-let dc_unmap t ~dst_page = Deferred_cache.unmap t.deferred ~dst_page
-
 let dc_reset_page t ~dst_page =
   let was_dirty = ref false in
   let cost = Deferred_cache.reset_page t.deferred ~dst_page ~was_dirty in

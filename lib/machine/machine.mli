@@ -147,7 +147,6 @@ val bcopy : t -> src:int -> dst:int -> len:int -> unit
     multiple of the word size. *)
 
 val dc_map : t -> dst_page:int -> src_addr:int -> unit
-val dc_unmap : t -> dst_page:int -> unit
 
 val dc_reset_page : t -> dst_page:int -> unit
 (** Reset one destination page to its source (Section 3.3): charge the

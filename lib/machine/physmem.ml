@@ -49,8 +49,6 @@ let alloc_frame t =
   zero_frame t fn;
   fn
 
-let alloc_frames t n = List.init n (fun _ -> alloc_frame t)
-
 let free_frame t fn =
   if fn < 0 || fn >= t.frames then invalid_arg "Physmem.free_frame";
   t.free <- fn :: t.free;

@@ -27,9 +27,6 @@ val alloc_frame : t -> int
 (** Allocate a free frame and return its frame (page) number. The frame is
     zero-filled. @raise Out_of_frames when none is free. *)
 
-val alloc_frames : t -> int -> int list
-(** Allocate [n] frames. *)
-
 val free_frame : t -> int -> unit
 (** Return a frame to the free list. Freeing a free frame is an error. *)
 

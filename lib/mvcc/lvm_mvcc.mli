@@ -81,8 +81,6 @@ module View : sig
   val floor : t -> int
   (** Oldest as-of timestamp still readable (older versions have been
       folded into the base images). *)
-
-  val route_at : t -> ts:int -> int array
 end
 
 type snapshot

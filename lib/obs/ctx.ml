@@ -8,10 +8,10 @@ type t = {
 (* Set by Collector.attach so new contexts enroll themselves. *)
 let on_create : (t -> unit) option ref = ref None
 
-let create ?trace_capacity () =
+let create () =
   let t =
     {
-      trace = Trace.create ?capacity:trace_capacity ();
+      trace = Trace.create ();
       counters = Counter.create ();
       histograms = [];
       providers = [];

@@ -11,7 +11,7 @@
 
 type t
 
-val create : ?trace_capacity:int -> unit -> t
+val create : unit -> t
 
 val trace : t -> Trace.t
 val event : t -> at:int -> Event.t -> unit

@@ -33,5 +33,4 @@ val dropped : t -> int
 
 val clear : t -> unit
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

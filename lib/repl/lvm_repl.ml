@@ -44,21 +44,21 @@ module Config = struct
     log_pages : int;
     group : int;  (** group-commit batch on the primary *)
     replicas : int;
-    frame_bytes : int;  (** soft cap on a Data frame's payload *)
-    tail_bytes : int;  (** unforced active-tail window shipped ahead *)
-    latency : int;  (** transport delivery latency, ticks *)
     heartbeat_every : int;  (** primary heartbeat period, ticks *)
     timeout : int;  (** failure-detector / retransmit timeout, ticks *)
-    backoff_cap : int;  (** max backoff multiplier *)
-    detach_after : int;  (** primary detaches a silent replica, ticks *)
     obs : Lvm_obs.Ctx.t option;
   }
 
   let default =
-    { size = 256; log_pages = 8; group = 1; replicas = 2; frame_bytes = 512;
-      tail_bytes = 4096; latency = 1; heartbeat_every = 4; timeout = 12;
-      backoff_cap = 8; detach_after = 96; obs = None }
+    { size = 256; log_pages = 8; group = 1; replicas = 2; heartbeat_every = 4;
+      timeout = 12; obs = None }
 end
+
+let frame_bytes = 512 (* soft cap on a Data frame's payload *)
+let tail_bytes = 4096 (* unforced active-tail window shipped ahead *)
+let latency = 1 (* transport delivery latency, ticks *)
+let backoff_cap = 8 (* max backoff multiplier *)
+let detach_after = 96 (* primary detaches a silent replica, ticks *)
 
 module Frame = struct
   type t =
@@ -94,7 +94,6 @@ module Transport = struct
   type packet = { deliver_at : int; order : int; frame : Frame.t }
 
   type t = {
-    latency : int;
     mutable plan : Plan.t option;
     links : packet list ref array;
     mutable next_order : int;
@@ -106,9 +105,9 @@ module Transport = struct
     c_reordered : Lvm_obs.Counter.counter;
   }
 
-  let create ~obs ~latency ~links =
+  let create ~obs ~links =
     let c name = Lvm_obs.Ctx.counter obs ("repl." ^ name) in
-    { latency; plan = None;
+    { plan = None;
       links = Array.init links (fun _ -> ref []);
       next_order = 0;
       c_sent = c "frames_sent"; c_delivered = c "frames_delivered";
@@ -136,7 +135,7 @@ module Transport = struct
       | None -> None
       | Some p -> Plan.check p ~site ~cycle:now
     in
-    let at = now + t.latency in
+    let at = now + latency in
     match fault with
     | Some Fault.Net_drop ->
       (* also the interpretation of any non-transport kind scheduled at
@@ -265,8 +264,8 @@ let applied_of rep = log_end_of rep.rnode
 
 (* The ship horizon: the sealed (forced) stream plus a bounded window
    of the active, still-unforced tail. *)
-let ship_end_of t n =
-  min (log_end_of n) (forced_end_of n + t.cfg.Config.tail_bytes)
+let ship_end_of n =
+  min (log_end_of n) (forced_end_of n + tail_bytes)
 
 let make_node t =
   let k = Kernel.create ~obs:t.obs () in
@@ -314,26 +313,15 @@ let create ?plan (cfg : Config.t) =
            reason = "size must be a positive word multiple" });
   if cfg.Config.replicas < 1 then
     range "Repl.create" "replicas" cfg.Config.replicas;
-  if cfg.Config.frame_bytes < 1 then
-    range "Repl.create" "frame_bytes" cfg.Config.frame_bytes;
-  if cfg.Config.tail_bytes < 0 then
-    range "Repl.create" "tail_bytes" cfg.Config.tail_bytes;
-  if cfg.Config.latency < 0 then
-    range "Repl.create" "latency" cfg.Config.latency;
   if cfg.Config.heartbeat_every < 1 then
     range "Repl.create" "heartbeat_every" cfg.Config.heartbeat_every;
-  if cfg.Config.timeout < 1 then
+  if cfg.Config.timeout < 1 || cfg.Config.timeout > detach_after then
     range "Repl.create" "timeout" cfg.Config.timeout;
-  if cfg.Config.backoff_cap < 1 then
-    range "Repl.create" "backoff_cap" cfg.Config.backoff_cap;
-  if cfg.Config.detach_after < cfg.Config.timeout then
-    range "Repl.create" "detach_after" cfg.Config.detach_after;
   let obs =
     match cfg.Config.obs with Some o -> o | None -> Lvm_obs.Ctx.create ()
   in
   let net =
-    Transport.create ~obs ~latency:cfg.Config.latency
-      ~links:(2 * cfg.Config.replicas)
+    Transport.create ~obs ~links:(2 * cfg.Config.replicas)
   in
   Transport.set_plan net plan;
   let c name = Lvm_obs.Ctx.counter obs ("repl." ^ name) in
@@ -373,7 +361,6 @@ let obs t = t.obs
 let epoch t = t.epoch
 let now t = t.now
 let promoted t = t.promoted
-let has_primary t = t.primary <> None
 let keys t = t.cfg.Config.size / 4
 
 let primary_node t =
@@ -382,9 +369,6 @@ let primary_node t =
   | None ->
     Error.raise_
       (Error.Invalid { op = "Repl.primary"; reason = "primary is dead" })
-
-let primary_kernel t = (primary_node t).nk
-let replica_kernel t i = t.replicas.(i).rnode.nk
 
 (* {1 Serving} *)
 
@@ -432,7 +416,7 @@ let chunk_end_phys disk ~start ~limit ~frame_bytes =
 let send_resync t rep ~link =
   let p = primary_node t in
   let image = Ramdisk.image_read p.ndisk ~off:0 ~len:t.cfg.Config.size in
-  let limit = ship_end_of t p - p.nbase in
+  let limit = ship_end_of p - p.nbase in
   let limit =
     (* never split a record: back down to a record boundary *)
     chunk_end_phys p.ndisk ~start:0 ~limit ~frame_bytes:limit
@@ -496,7 +480,7 @@ let primary_tick t =
        been drained *)
     if Ramdisk.should_truncate p.ndisk then Ramdisk.truncate p.ndisk;
     (* 3. ship / heartbeat / retransmit per peer *)
-    let ship_end = ship_end_of t p in
+    let ship_end = ship_end_of p in
     Array.iter
       (fun rep ->
         let i = rep.id in
@@ -511,13 +495,13 @@ let primary_tick t =
             Lvm_obs.Counter.incr t.c_retrans;
             Lvm_obs.Histogram.observe t.h_retrans (peer.sent - peer.acked);
             peer.sent <- peer.acked;
-            peer.backoff <- min (peer.backoff * 2) cfg.Config.backoff_cap;
+            peer.backoff <- min (peer.backoff * 2) backoff_cap;
             peer.last_progress <- t.now
           end;
           (* detach a replica that has been silent for long enough:
              its unacked bytes stop holding up WAL recycling, and it
              will resync when it comes back *)
-          if peer.attached && t.now - peer.last_rx > cfg.Config.detach_after
+          if peer.attached && t.now - peer.last_rx > detach_after
           then begin
             peer.attached <- false;
             Lvm_obs.Counter.incr t.c_detaches
@@ -526,7 +510,7 @@ let primary_tick t =
             let start = peer.sent - p.nbase in
             let stop =
               chunk_end_phys p.ndisk ~start ~limit:(ship_end - p.nbase)
-                ~frame_bytes:cfg.Config.frame_bytes
+                ~frame_bytes
             in
             if stop > start then begin
               let payload =
@@ -649,7 +633,7 @@ let replica_tick t rep =
         (Frame.Hello
            { replica = rep.id; epoch = rep.repoch; from = applied_of rep });
       rep.next_hello <- t.now + (t.cfg.Config.timeout * rep.rbackoff);
-      rep.rbackoff <- min (rep.rbackoff * 2) t.cfg.Config.backoff_cap
+      rep.rbackoff <- min (rep.rbackoff * 2) backoff_cap
     end
   end
 
@@ -780,8 +764,8 @@ let converged t =
       t.replicas
 
 (* Pump the protocol until every live standby has applied and acked the
-   whole stream, or [max_ticks] elapse. *)
-let sync ?(max_ticks = 10_000) t =
+   whole stream, or 10 000 ticks elapse. *)
+let sync t =
   let rec go budget =
     if converged t then true
     else if budget = 0 then false
@@ -790,7 +774,7 @@ let sync ?(max_ticks = 10_000) t =
       go (budget - 1)
     end
   in
-  go max_ticks
+  go 10_000
 
 type replica_stat = {
   rid : int;
@@ -831,7 +815,7 @@ let stats t =
   let v c = Lvm_obs.Counter.value c in
   let stream_end, base =
     match t.primary with
-    | Some p -> (ship_end_of t p, p.nbase)
+    | Some p -> (ship_end_of p, p.nbase)
     | None -> (0, 0)
   in
   let s_replicas =

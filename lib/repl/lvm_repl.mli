@@ -22,7 +22,7 @@
       capped exponential backoff when the primary goes quiet;
     - the low-water rule: the primary's WAL truncate gate refuses to
       recycle bytes an attached replica has not acked, and a replica
-      silent past [detach_after] is detached so it cannot wedge
+      silent past 96 ticks is detached so it cannot wedge
       recycling forever (it resyncs on return);
     - {!promote} turns the furthest-ahead live standby into the serving
       primary — folding its received log into its image drops any
@@ -40,20 +40,11 @@ module Config : sig
     log_pages : int;  (** Per-node LVM log provision. *)
     group : int;  (** Primary group-commit batch size. *)
     replicas : int;
-    frame_bytes : int;
-        (** Soft cap on a Data frame payload; a single larger record
-            still ships alone (frames always carry whole records). *)
-    tail_bytes : int;
-        (** How many unforced active-tail bytes ship ahead of the
-            sealed prefix. *)
-    latency : int;  (** Transport delivery latency, ticks. *)
     heartbeat_every : int;  (** Primary heartbeat period, ticks. *)
     timeout : int;
-        (** Failure-detector and retransmission timeout, ticks. *)
-    backoff_cap : int;  (** Maximum backoff multiplier. *)
-    detach_after : int;
-        (** Primary detaches a replica silent this long (must be at
-            least [timeout]). *)
+        (** Failure-detector and retransmission timeout, ticks; at
+            most 96, the silence after which the primary detaches a
+            replica. *)
     obs : Lvm_obs.Ctx.t option;
         (** Observability context shared by every node and the
             transport (default: a fresh one). *)
@@ -61,9 +52,14 @@ module Config : sig
 
   val default : t
   (** [{ size = 256; log_pages = 8; group = 1; replicas = 2;
-        frame_bytes = 512; tail_bytes = 4096; latency = 1;
-        heartbeat_every = 4; timeout = 12; backoff_cap = 8;
-        detach_after = 96; obs = None }] *)
+        heartbeat_every = 4; timeout = 12; obs = None }]
+
+      Fixed by the protocol: a Data frame carries about 512 payload
+      bytes (a single larger record still ships alone: frames always
+      carry whole records), up to 4096 unforced active-tail bytes ship
+      ahead of the sealed prefix, the transport delivers a frame one
+      tick after it is sent, backoff multipliers cap at 8, and the
+      primary detaches a replica silent for 96 ticks. *)
 end
 
 (** Protocol frames (see [docs/REPLICATION.md] for the full rules). *)
@@ -90,7 +86,8 @@ val create : ?plan:Lvm_fault.Plan.t -> Config.t -> t
     peer attached and in sync at stream offset 0. [plan] drives the
     transport's fault sites (also settable later with
     {!set_net_plan}). Raises typed [Lvm_vm.Error.Lvm_error] on invalid
-    configuration. *)
+    configuration: [Out_of_range] for [replicas < 1],
+    [heartbeat_every < 1] or [timeout] outside [1, 96]. *)
 
 val set_net_plan : t -> Lvm_fault.Plan.t option -> unit
 
@@ -99,15 +96,9 @@ val epoch : t -> int
 val now : t -> int
 
 val keys : t -> int
-val has_primary : t -> bool
 
 val promoted : t -> int option
 (** The replica currently serving as primary, after a failover. *)
-
-val primary_kernel : t -> Lvm_vm.Kernel.t
-(** Raises if the primary is dead. *)
-
-val replica_kernel : t -> int -> Lvm_vm.Kernel.t
 
 val exec :
   t -> writes:(int * int) list -> (unit, Lvm.Lvm_error.t) result
@@ -128,10 +119,10 @@ val tick : t -> unit
 
 val step : ?ticks:int -> t -> unit
 
-val sync : ?max_ticks:int -> t -> bool
+val sync : t -> bool
 (** Pump {!tick} until every live standby has applied and acked the
-    primary's whole stream, or [max_ticks] (default 10000) elapse;
-    [true] on convergence. *)
+    primary's whole stream, or 10000 ticks elapse; [true] on
+    convergence. *)
 
 val converged : t -> bool
 

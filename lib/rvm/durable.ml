@@ -146,20 +146,25 @@ let truncate_if_forced t =
   if Lvm_log.Batcher.pending t.batcher = 0 && Ramdisk.should_truncate t.disk
   then Ramdisk.truncate t.disk
 
-let recover t =
-  (* Writes of the crashed epoch may still sit in the logger's coalescing
-     buffer; drop them so they cannot flush into the fresh log later. *)
+let rewind t ~restore =
+  (* Writes of the dropped epoch may still sit in the logger's
+     coalescing buffer; drop them so they cannot flush into the fresh
+     log later. *)
   Logger.discard_coalesced (Machine.logger (Kernel.machine t.k));
-  Lvm_log.Batcher.reset t.batcher;
-  let image, report = Ramdisk.recover t.disk in
   Kernel.set_logging_enabled t.k t.region false;
   (if Segment.absorbing t.ls then Segment.set_absorbing t.ls false);
   Lvm_log.truncate_suffix t.log ~new_end:0;
-  for off = 0 to t.size - 1 do
-    let byte = Char.code (Bytes.get image off) in
-    Kernel.seg_write_raw t.k t.committed ~off ~size:1 byte;
-    Kernel.seg_write_raw t.k t.working ~off ~size:1 byte
-  done;
-  Kernel.reset_deferred_segment t.k t.working;
-  Kernel.set_logging_enabled t.k t.region true;
+  restore ();
+  Kernel.set_logging_enabled t.k t.region true
+
+let recover t =
+  Lvm_log.Batcher.reset t.batcher;
+  let image, report = Ramdisk.recover t.disk in
+  rewind t ~restore:(fun () ->
+      for off = 0 to t.size - 1 do
+        let byte = Char.code (Bytes.get image off) in
+        Kernel.seg_write_raw t.k t.committed ~off ~size:1 byte;
+        Kernel.seg_write_raw t.k t.working ~off ~size:1 byte
+      done;
+      Kernel.reset_deferred_segment t.k t.working);
   report

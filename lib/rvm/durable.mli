@@ -92,6 +92,13 @@ val truncate_if_forced : t -> unit
     for a force: truncation applies records to the image, so it must not
     run past an unforced tail. *)
 
+val rewind : t -> restore:(unit -> unit) -> unit
+(** Throw away the hardware log of the current epoch: drop the writes
+    still in the logger's coalescing buffer, clear absorption and
+    truncate the log to empty, then run [restore] with logging off (so
+    its writes are not logged) and turn logging back on. Shared by
+    {!recover} and [Rlvm.abort]. *)
+
 val recover : t -> Ramdisk.recovery
 (** Crash recovery: drop the crashed epoch's writes still in the
     logger's coalescing buffer, forget the unforced batch, recover the

@@ -92,19 +92,12 @@ let commit ?(pace = fun () -> ()) t =
 
 let abort t =
   if t.current = None then raise No_transaction;
-  let { Durable.k; region; ls; _ } = t.d in
-  (* Writes of the aborted transaction may still sit in the logger's
-     coalescing buffer; drop them so they cannot flush into the fresh
-     log later. *)
-  Logger.discard_coalesced (Machine.logger (Kernel.machine k));
-  Kernel.set_logging_enabled k region false;
-  Kernel.reset_deferred_copy k t.d.space ~start:t.d.base
-    ~len:(Region.size region);
-  (if Segment.absorbing ls then Segment.set_absorbing ls false);
-  Lvm_log.truncate_suffix t.d.log ~new_end:0;
-  Kernel.set_logging_enabled k region true;
+  let d = t.d in
+  Durable.rewind d ~restore:(fun () ->
+      Kernel.reset_deferred_copy d.k d.space ~start:d.base
+        ~len:(Region.size d.region));
   t.current <- None;
-  Kernel.write_word k t.d.space (cell_addr t) 0
+  Kernel.write_word d.k d.space (cell_addr t) 0
 
 let recover t =
   t.current <- None;

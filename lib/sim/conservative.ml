@@ -9,10 +9,12 @@ type t = {
   scheds : Scheduler.t array;
   app : Scheduler.app;
   next_uid : int ref;
-  barrier_cost : int;
 }
 
-let create ?(barrier_cost = 800) ~n_schedulers ~app () =
+(* Charged to every processor at each synchronization step. *)
+let barrier_cost = 800
+
+let create ~n_schedulers ~app () =
   let next_uid = ref 0 in
   let fresh_uid () =
     let u = !next_uid in
@@ -24,7 +26,7 @@ let create ?(barrier_cost = 800) ~n_schedulers ~app () =
         Scheduler.create ~id ~n_schedulers
           ~strategy:State_saving.No_saving ~app ~fresh_uid ())
   in
-  { scheds; app; next_uid; barrier_cost }
+  { scheds; app; next_uid }
 
 let sched_of t obj = t.scheds.(obj mod Array.length t.scheds)
 
@@ -85,7 +87,7 @@ let run t ~end_time =
       Array.iter
         (fun s ->
           let lag = frontier - Scheduler.time s in
-          Lvm_vm.Kernel.compute (Scheduler.kernel s) (lag + t.barrier_cost))
+          Lvm_vm.Kernel.compute (Scheduler.kernel s) (lag + barrier_cost))
         t.scheds
     end
   done;

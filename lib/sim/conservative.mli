@@ -23,11 +23,10 @@ type result = {
 
 type t
 
-val create :
-  ?barrier_cost:int -> n_schedulers:int -> app:Scheduler.app -> unit -> t
-(** [barrier_cost] (default 800 cycles) is charged to every processor at
-    each synchronization step: the global-minimum computation and barrier
-    messaging that conservative engines pay in place of rollback. *)
+val create : n_schedulers:int -> app:Scheduler.app -> unit -> t
+(** 800 cycles are charged to every processor at each synchronization
+    step: the global-minimum computation and barrier messaging that
+    conservative engines pay in place of rollback. *)
 
 val inject : t -> time:int -> dst:int -> payload:int -> unit
 val run : t -> end_time:int -> result

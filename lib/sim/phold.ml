@@ -10,8 +10,8 @@ let hash a b c d =
   h := (!h lxor (!h lsr 29)) * m;
   (!h lxor (!h lsr 32)) land 0x3FFFFFFF
 
-let app ?(object_words = 8) ?(max_delay = 20) ?(compute = 200)
-    ?(locality_pct = 0) ~objects ~seed () =
+let app ?(object_words = 8) ?(compute = 200) ?(locality_pct = 0) ~objects
+    ~seed () =
   if objects <= 0 then invalid_arg "Phold.app: objects must be positive";
   if object_words < 4 then invalid_arg "Phold.app: need at least 4 words";
   if locality_pct < 0 || locality_pct > 100 then
@@ -42,7 +42,7 @@ let app ?(object_words = 8) ?(max_delay = 20) ?(compute = 200)
           if h / 7 mod 100 < locality_pct then ctx.Scheduler.self
           else h mod objects
         in
-        let delay = 1 + (h / objects mod max_delay) in
+        let delay = 1 + (h / objects mod 20) in
         let payload' = hash h payload 1 2 land 0xFFFF in
         ctx.Scheduler.send ~dst ~delay ~payload:payload')
   }

@@ -8,10 +8,11 @@
     of schedulers, which the sequential-equivalence tests rely on. *)
 
 val app :
-  ?object_words:int -> ?max_delay:int -> ?compute:int -> ?locality_pct:int ->
-  objects:int -> seed:int -> unit -> Scheduler.app
+  ?object_words:int -> ?compute:int -> ?locality_pct:int -> objects:int ->
+  seed:int -> unit -> Scheduler.app
 (** [object_words >= 4] (default 8); [compute] is the modelled CPU work
-    per event in cycles (default 200); [locality_pct] is the percentage of
+    per event in cycles (default 200); a token is forwarded 1 to 20
+    time units ahead; [locality_pct] is the percentage of
     events an object sends to itself (default 0, fully uniform — higher
     locality means fewer cross-scheduler stragglers). *)
 

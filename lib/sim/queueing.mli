@@ -25,13 +25,6 @@ val inject_customers : Timewarp.t -> stations:int -> customers:int ->
   seed:int -> unit
 (** Inject {!arrivals} into a TimeWarp engine. *)
 
-(** State-word indices for result inspection. *)
-
-val queue_len_word : int
-val busy_word : int
-val served_word : int
-val checksum_word : int
-
 val total_served : Timewarp.t -> stations:int -> int
 val customers_present : Timewarp.t -> stations:int -> int
 (** Customers currently queued or in service across all stations (the

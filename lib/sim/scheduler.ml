@@ -181,7 +181,6 @@ let kernel t = t.k
 let pin t = Kernel.set_cpu t.k t.cpu
 
 let time t = Kernel.cpu_time t.k ~cpu:t.cpu
-let lvt t = t.lvt
 let stats t = t.stats
 let owns t obj = obj >= 0 && obj < t.app.n_objects && obj mod t.n_schedulers = t.id
 let queue_empty t = Event_queue.is_empty t.queue

@@ -63,7 +63,6 @@ val time : t -> int
 (** This scheduler's processor clock (its pinned CPU's, on a shared
     kernel), in cycles. *)
 
-val lvt : t -> int
 val stats : t -> stats
 val owns : t -> int -> bool
 val queue_empty : t -> bool

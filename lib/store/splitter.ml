@@ -3,15 +3,14 @@ module Config = struct
     min_delta : int;
     imbalance : float;
     merge_below : float;
-    max_buckets : int;
-    queue_weight : float;
-    alpha : float;
   }
 
-  let default =
-    { min_delta = 32; imbalance = 1.6; merge_below = 1.15; max_buckets = 8;
-      queue_weight = 4.0; alpha = 0.5 }
+  let default = { min_delta = 32; imbalance = 1.6; merge_below = 1.15 }
 end
+
+let max_buckets = 8 (* buckets per move, at most *)
+let queue_weight = 4.0 (* load contribution per queued transaction *)
+let alpha = 0.5 (* EWMA weight of the newest load sample *)
 
 type advice =
   | Split of { from_ : int; to_ : int; buckets : int list }
@@ -65,13 +64,13 @@ let advise ?queue_depths t =
     Array.iteri
       (fun s d ->
         if s < shards then
-          sample.(s) <- sample.(s) +. (t.config.queue_weight *. float_of_int d))
+          sample.(s) <- sample.(s) +. (queue_weight *. float_of_int d))
       q
   | None -> ());
   Array.iteri
     (fun s v ->
       t.load.(s) <-
-        ((1.0 -. t.config.alpha) *. t.load.(s)) +. (t.config.alpha *. v);
+        ((1.0 -. alpha) *. t.load.(s)) +. (alpha *. v);
       Lvm_obs.Counter.set t.gauges.(s) (int_of_float t.load.(s)))
     sample;
   if shards < 2 || Store.active_move t.st <> None then Steady
@@ -120,7 +119,7 @@ let advise ?queue_depths t =
         in
         let rec pick acc cum n = function
           | [] -> List.rev acc
-          | _ when n >= t.config.max_buckets || n >= keep_at_least_one
+          | _ when n >= max_buckets || n >= keep_at_least_one
                    || cum >= target ->
             List.rev acc
           | (d, _) :: _ when d = 0 ->

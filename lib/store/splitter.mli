@@ -10,12 +10,15 @@
       coldest shard — enough of the round's write traffic to bring
       the hot shard down to the fleet average, but never so much that
       the recipient would rise above it (so the hotspot cannot simply
-      relocate), capped at [max_buckets] and never the shard's last
-      bucket.
+      relocate), capped at 8 buckets per move and never the shard's
+      last bucket.
     - {b Merge}: when the fleet is balanced (hottest under
       [merge_below] times the average) and earlier splits left buckets
       away from their default owners, send one displaced group home,
       shrinking routing entropy.
+
+    Each round's load sample is the shard's bucket-write delta plus 4
+    per queued transaction; the EWMA gives it weight 0.5.
 
     The splitter only advises; the driver (see {!Workload}) owns the
     move lifecycle and runs the copy incrementally between
@@ -30,14 +33,10 @@ module Config : sig
     merge_below : float;
         (** Merge displaced buckets home when
             [max_load <= merge_below * avg]. *)
-    max_buckets : int;  (** Buckets per move, at most. *)
-    queue_weight : float;  (** Load contribution per queued txn. *)
-    alpha : float;  (** EWMA weight of the newest load sample. *)
   }
 
   val default : t
-  (** [{ min_delta = 32; imbalance = 1.6; merge_below = 1.15;
-        max_buckets = 8; queue_weight = 4.; alpha = 0.5 }]. *)
+  (** [{ min_delta = 32; imbalance = 1.6; merge_below = 1.15 }]. *)
 end
 
 type advice =

@@ -3,32 +3,31 @@ module Rlvm = Lvm_rvm.Rlvm
 module Ramdisk = Lvm_rvm.Ramdisk
 
 module Config = struct
-  type admission = Shed | Queue
-
   type t = {
     shards : int;
     keys : int;
     group : int;
     log_pages : int;
     max_log_pages : int option;
-    admission : admission;
     max_txn_writes : int;
     compute : int;
     frames : int;
-    buckets_per_shard : int;
     admission_rate : float;
     admission_burst : int;
-    mvcc_history : int;
     obs : Lvm_obs.Ctx.t option;
   }
 
   let default =
     { shards = 4; keys = 1024; group = 1; log_pages = 32;
-      max_log_pages = None; admission = Queue; max_txn_writes = 32;
-      compute = 400; frames = 4096; buckets_per_shard = 8;
-      admission_rate = 0.0; admission_burst = 8; mvcc_history = 1024;
+      max_log_pages = None; max_txn_writes = 32; compute = 400;
+      frames = 4096; admission_rate = 0.0; admission_burst = 8;
       obs = None }
 end
+
+let buckets_per_shard = 8
+(* Commit timestamps of version history kept behind the MVCC cut for
+   [Snapshot.as_of]. *)
+let mvcc_history = 1024
 
 (* {1 Shard moves (split / merge)}
 
@@ -88,7 +87,6 @@ type t = {
   mutable active : move option;
   gates : gate array; (* per-shard token-bucket admission *)
   bucket_writes : int array; (* committed writes per bucket (load) *)
-  lat_ewma : float array; (* per-shard commit-latency EWMA, cycles *)
   txns_c : Lvm_obs.Counter.counter;
   cross_c : Lvm_obs.Counter.counter;
   redo_c : Lvm_obs.Counter.counter;
@@ -174,8 +172,6 @@ let create (config : Config.t) =
   | Some _ | None -> ());
   if config.Config.frames < 1 then
     range "Store.create" "frames" config.Config.frames;
-  if config.Config.buckets_per_shard < 1 then
-    range "Store.create" "buckets_per_shard" config.Config.buckets_per_shard;
   if config.Config.admission_rate < 0.0 then
     range "Store.create" "admission_rate" 0;
   if config.Config.admission_burst < 1 then
@@ -201,7 +197,7 @@ let create (config : Config.t) =
           k sp ~size:(config.Config.keys * Lvm_machine.Addr.word_size))
   in
   Kernel.set_cpu k 0;
-  let buckets = config.Config.shards * config.Config.buckets_per_shard in
+  let buckets = config.Config.shards * buckets_per_shard in
   let split_base = config.Config.shards * intent_size config.Config.max_txn_writes in
   let route_base = split_base + split_slot_bytes buckets in
   let coord = Ramdisk.create k ~size:(route_base + (4 * buckets)) in
@@ -217,7 +213,6 @@ let create (config : Config.t) =
           { g_tokens = float_of_int config.Config.admission_burst;
             g_last = 0 });
     bucket_writes = Array.make buckets 0;
-    lat_ewma = Array.make config.Config.shards 0.0;
     txns_c = Lvm_obs.Ctx.counter ctx "store.txns";
     cross_c = Lvm_obs.Ctx.counter ctx "store.txns_cross";
     redo_c = Lvm_obs.Ctx.counter ctx "store.redo";
@@ -250,7 +245,6 @@ let route_table t = Array.copy t.route
 let shard t s = t.shards.(s)
 let off_of_key _t key = key * Lvm_machine.Addr.word_size
 let bucket_write_counts t = Array.copy t.bucket_writes
-let commit_latency_ewma t s = t.lat_ewma.(s)
 
 let shard_buckets t s =
   let acc = ref [] in
@@ -889,7 +883,6 @@ let exec ?(pace = no_pace) ?detach t ~writes =
           let before =
             List.map (fun (c, _) -> (c, Kernel.cpu_time t.k ~cpu:c)) parts
           in
-          let t0_home = Kernel.cpu_time t.k ~cpu:home in
           (* Commit latency: CPU cycles burned on the participant shards
              between admission and completion. For a local transaction
              that is when [exec_local] returns; for a cross-shard
@@ -902,13 +895,7 @@ let exec ?(pace = no_pace) ?detach t ~writes =
                 (fun acc (c, t0) -> acc + (Kernel.cpu_time t.k ~cpu:c - t0))
                 0 before
             in
-            Lvm_obs.Histogram.observe t.commit_hist cycles;
-            (* Load-aware routing input: the home shard's commit-latency
-               EWMA (1/8 weight per sample). *)
-            t.lat_ewma.(home) <-
-              (0.875 *. t.lat_ewma.(home))
-              +. (0.125
-                 *. float_of_int (Kernel.cpu_time t.k ~cpu:home - t0_home))
+            Lvm_obs.Histogram.observe t.commit_hist cycles
           in
           let result =
             match parts with
@@ -1132,7 +1119,7 @@ let attach_view t =
             watermark = (fun () -> watermark t);
             route = Array.copy t.route;
             obs = Kernel.obs t.k;
-            history = t.config.Config.mvcc_history }
+            history = mvcc_history }
           ~base_ts
       in
       t.mvcc <- Some v;

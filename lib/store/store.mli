@@ -53,14 +53,13 @@
       [Shed] result before overload can wedge the log-room
       backpressure path.
     - {b Load signals}: per-bucket committed-write counters
-      ({!bucket_write_counts}) and per-shard commit-latency EWMAs
-      ({!commit_latency_ewma}) feed the {!Splitter}'s split/merge
-      policy and the driver's load-aware routing.
+      ({!bucket_write_counts}) feed the {!Splitter}'s split/merge
+      policy.
 
     Backpressure rides the typed {!Lvm_vm.Error.Log_exhausted} path: a
     transaction whose redo records cannot be made durable is cleanly
-    aborted and reported as [Overloaded] instead of raising, so
-    admission control (see {!Workload}) can shed or requeue it. *)
+    aborted and reported as [Overloaded] instead of raising, so the
+    driver (see {!Workload}) can requeue it. *)
 
 type t
 
@@ -71,11 +70,6 @@ type t
       let st = Store.create { Store.Config.default with shards = 4 }
     ]} *)
 module Config : sig
-  (** What to do with a transaction the log cannot absorb right now:
-      drop it ([Shed]) or hand it back for retry ([Queue] — the
-      workload driver requeues it with a retry budget). *)
-  type admission = Shed | Queue
-
   type t = {
     shards : int;  (** Independent RLVM shards, one worker CPU each. *)
     keys : int;  (** Dense keyspace size; key [i] hashes to bucket
@@ -85,7 +79,6 @@ module Config : sig
     max_log_pages : int option;
         (** Per-shard backpressure ceiling; [None] means
             [2 * log_pages]. *)
-    admission : admission;
     max_txn_writes : int;
         (** Largest transaction accepted (bounds the coordinator's
             intent record). *)
@@ -94,30 +87,26 @@ module Config : sig
             CPUs of the shards it touches — the work the shards
             parallelize. *)
     frames : int;  (** Physical memory frames for the machine. *)
-    buckets_per_shard : int;
-        (** Routing granularity: the keyspace hashes into
-            [shards * buckets_per_shard] buckets, the unit a shard
-            move hands over. *)
     admission_rate : float;
         (** Token-bucket admission: tokens granted per thousand
             shard-CPU cycles. [0.] (the default) disables the gate. *)
     admission_burst : int;
         (** Token-bucket capacity (and initial fill). *)
-    mvcc_history : int;
-        (** Version history retained behind the MVCC cut for {!Snapshot.as_of}
-            time travel, in commit timestamps (live snapshots always pin
-            their own history). *)
     obs : Lvm_obs.Ctx.t option;
         (** Observability context to share (default: a fresh one). *)
   }
 
   val default : t
   (** [{ shards = 4; keys = 1024; group = 1; log_pages = 32;
-        max_log_pages = None; admission = Queue; max_txn_writes = 32;
-        compute = 400; frames = 4096; buckets_per_shard = 8;
-        admission_rate = 0.; admission_burst = 8; mvcc_history = 1024;
+        max_log_pages = None; max_txn_writes = 32; compute = 400;
+        frames = 4096; admission_rate = 0.; admission_burst = 8;
         obs = None }]. *)
 end
+
+val buckets_per_shard : int
+(** Routing granularity, 8: the keyspace hashes into
+    [shards * buckets_per_shard] buckets, the unit a shard move hands
+    over. *)
 
 (** Why a transaction or read was not executed: the store speaks
     {!Lvm.Lvm_error.t} end to end. [Overloaded] means the shard's log
@@ -179,10 +168,6 @@ val read : t -> int -> (int, Lvm.Lvm_error.t) result
 val bucket_write_counts : t -> int array
 (** Committed writes per bucket since creation (or the last
     {!recover}) — the splitter's skew signal. *)
-
-val commit_latency_ewma : t -> int -> float
-(** The shard's commit-latency EWMA in CPU cycles (1/8 sample
-    weight). *)
 
 (** {2 Shard moves (split / merge)} *)
 
@@ -321,9 +306,10 @@ module Snapshot : sig
 
   val as_of : store -> ts:int -> (t, Lvm.Lvm_error.t) result
   (** Time-travel snapshot at exactly [ts], replayed from the retained
-      version history ([Config.mvcc_history] timestamps behind the
-      cut); pins the routing that was in effect at [ts].
-      [Error (Snapshot_unavailable _)] outside the readable window. *)
+      version history (1024 commit timestamps behind the cut; live
+      snapshots always pin their own history); pins the routing that
+      was in effect at [ts]. [Error (Snapshot_unavailable _)] outside
+      the readable window. *)
 
   val read : t -> int -> (int, Lvm.Lvm_error.t) result
   (** Wait-free versioned read of one key. [Error (Invalid_key _)]

@@ -98,7 +98,8 @@ end
    split must fix — while still spreading within the hot shard's
    buckets, so a split can actually peel load off. A bijection of
    [0, keys) when [shards * buckets_per_shard] divides [keys]. *)
-let clustered_key ~shards ~buckets_per_shard ~keys rank =
+let clustered_key ~shards ~keys rank =
+  let buckets_per_shard = Store.buckets_per_shard in
   let buckets = shards * buckets_per_shard in
   let i = rank mod buckets in
   let bucket = ((i mod buckets_per_shard) * shards) + (i / buckets_per_shard) in
@@ -106,10 +107,7 @@ let clustered_key ~shards ~buckets_per_shard ~keys rank =
 
 (* {1 The spec} *)
 
-type dist =
-  | Uniform
-  | Zipfian of { theta : float }
-  | Hot of { pct : int; hot_keys : int }
+type dist = Uniform | Zipfian of { theta : float }
 
 type arrival =
   | Closed
@@ -189,25 +187,14 @@ let generate store spec =
   let cfg = Store.config store in
   let shards = cfg.Store.Config.shards in
   let keys = cfg.Store.Config.keys in
-  let bps = cfg.Store.Config.buckets_per_shard in
   let rng = Splitmix.create ~seed:spec.seed in
   let zipf =
     match spec.dist with
     | Zipfian { theta } -> Some (Zipf.create ~n:keys ~theta)
-    | Uniform | Hot _ -> None
+    | Uniform -> None
   in
   let value () = Splitmix.int rng ~bound:0x3FFFFFFF in
-  let skewed_key () =
-    match (spec.dist, zipf) with
-    | Zipfian _, Some z ->
-      clustered_key ~shards ~buckets_per_shard:bps ~keys (Zipf.sample z rng)
-    | Hot { pct; hot_keys }, _ ->
-      if Splitmix.int rng ~bound:100 < pct then
-        clustered_key ~shards ~buckets_per_shard:bps ~keys
-          (Splitmix.int rng ~bound:(max 1 hot_keys))
-      else Splitmix.int rng ~bound:keys
-    | _ -> assert false
-  in
+  let skewed_key z = clustered_key ~shards ~keys (Zipf.sample z rng) in
   let clock = ref 0 in
   let entries = ref [] in
   for i = 0 to spec.txns - 1 do
@@ -219,15 +206,15 @@ let generate store spec =
     let writes, reads, is_cross =
       if is_read then begin
         let key =
-          match spec.dist with
-          | Uniform -> Splitmix.int rng ~bound:keys
-          | Zipfian _ | Hot _ -> skewed_key ()
+          match zipf with
+          | None -> Splitmix.int rng ~bound:keys
+          | Some z -> skewed_key z
         in
         ([], [ key ], false)
       end
       else
-      match spec.dist with
-      | Uniform ->
+      match zipf with
+      | None ->
         (* The seeded uniform mix, draw-for-draw the stream earlier
            versions produced: same seed, same transactions. *)
         let is_cross =
@@ -245,18 +232,17 @@ let generate store spec =
         end
         else begin
           let s = Splitmix.int rng ~bound:shards in
-          ( List.init
-              (max 1 spec.writes_per_txn)
+          ( List.init spec.writes_per_txn
               (fun _ -> (key_on ~keys ~shards rng s, value ())),
             [], false )
         end
-      | Zipfian _ | Hot _ ->
+      | Some z ->
         (* Skewed mixes draw every key from the distribution; whether
            the transaction is cross-shard falls out of where the keys
            land ([cross_pct] does not apply). *)
         let ws = ref [] in
-        for _ = 1 to max 1 spec.writes_per_txn do
-          ws := (skewed_key (), value ()) :: !ws
+        for _ = 1 to spec.writes_per_txn do
+          ws := (skewed_key z, value ()) :: !ws
         done;
         let ws = List.rev !ws in
         let owners =
@@ -355,7 +341,28 @@ type mv_stage =
   | Mv_drain of mv
   | Mv_cut of mv
 
+let validate (spec : spec) =
+  let range what value =
+    Error.raise_ (Error.Out_of_range { op = "Workload.run"; what; value })
+  in
+  if spec.txns < 1 then range "txns" spec.txns;
+  if spec.cross_pct < 0 || spec.cross_pct > 100 then
+    range "cross_pct" spec.cross_pct;
+  if spec.writes_per_txn < 1 then range "writes_per_txn" spec.writes_per_txn;
+  if spec.retries < 0 then range "retries" spec.retries;
+  if spec.read_pct < 0 || spec.read_pct > 100 then
+    range "read_pct" spec.read_pct;
+  if spec.readers < 1 then range "readers" spec.readers;
+  match (spec.queue_cap, spec.arrival) with
+  | Some _, Closed ->
+    Error.raise_
+      (Error.Invalid
+         { op = "Workload.run"; reason = "queue_cap needs Open arrivals" })
+  | Some cap, Open _ when cap < 1 -> range "queue_cap" cap
+  | (Some _ | None), _ -> ()
+
 let run store spec =
+  validate spec;
   let k = Store.kernel store in
   let cfg = Store.config store in
   let shards = cfg.Store.Config.shards in
@@ -419,7 +426,7 @@ let run store spec =
     | Ok s -> Store.Snapshot.release s
     | Error _ -> ());
   let read_stream = Queue.create () in
-  let n_readers = max 1 spec.readers in
+  let n_readers = spec.readers in
   let reader_clock = Array.make n_readers wall0 in
   let reader_snap = Array.make n_readers None in
   let reader_count = Array.make n_readers 0 in
@@ -594,15 +601,10 @@ let run store spec =
         incr moved;
         parked := entry :: !parked
       | Error (Lvm.Lvm_error.Shed _) -> incr shed
-      | Error (Lvm.Lvm_error.Overloaded _)
-        when cfg.Store.Config.admission = Store.Config.Queue
-             && entry.tries < spec.retries ->
+      | Error (Lvm.Lvm_error.Overloaded _) when entry.tries < spec.retries ->
         entry.tries <- entry.tries + 1;
         incr requeued;
         Queue.add entry queues.(home_of entry)
-      | Error (Lvm.Lvm_error.Overloaded _)
-        when cfg.Store.Config.admission = Store.Config.Shed ->
-        incr shed
       | Error _ ->
         (* Retry budget exhausted (or a validation error): a distinct
            failure, never folded into the deliberate-shed count. *)

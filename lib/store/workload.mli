@@ -24,10 +24,11 @@
     {2 Skew, bursts and splits}
 
     - [dist] picks the key distribution: [Uniform] (the classic
-      seeded mix, unchanged draw-for-draw), [Zipfian] (every key drawn
-      from an exact Zipf CDF over the ranks, mapped owner-major by
-      {!clustered_key} so the hot ranks pile onto shard 0), or [Hot]
-      (a fixed percentage of writes over a small clustered hot set).
+      seeded mix, unchanged draw-for-draw) or [Zipfian] (every key
+      drawn from an exact Zipf CDF over the ranks, mapped owner-major:
+      the hottest {!Store.buckets_per_shard} ranks land on distinct
+      buckets of shard 0, the next batch on shard 1, and so on, so the
+      hot ranks pile onto shard 0 while staying splittable).
     - [arrival] picks the loop: [Closed] (a worker starts the next
       transaction the moment the previous finishes) or [Open]
       (exponential inter-arrival gaps with periodic bursts; the driver
@@ -41,11 +42,10 @@
       key are requeued (counted in [moved]) and re-routed under the
       new table once the cutover commits.
 
-    A transaction the store reports [Overloaded] is requeued (admission
-    [Queue], up to [retries] times) or dropped (admission [Shed]).
-    Exhausting the retry budget counts in [failed] — never in [shed],
-    which only counts deliberate drops (admission policy or the
-    token-bucket gate's typed [Shed]). *)
+    A transaction the store reports [Overloaded] is requeued, up to
+    [retries] times. Exhausting the retry budget counts in [failed] —
+    never in [shed], which only counts the token-bucket gate's typed
+    [Shed] refusals. *)
 
 (** An exact Zipf(theta) sampler over ranks [0, n), deterministic from
     the caller's {!Lvm_fault.Splitmix} stream. Rank 0 is the hottest.
@@ -83,20 +83,7 @@ module Zipf : sig
   (** [rank] of one {!Lvm_fault.Splitmix.unit_float} draw. *)
 end
 
-val clustered_key : shards:int -> buckets_per_shard:int -> keys:int -> int -> int
-(** Owner-major rank->key mapping: ranks [0, buckets_per_shard) land
-    on distinct buckets of shard 0 (under the default route), the next
-    batch on shard 1, and so on, wrapping round the keyspace — so a
-    skewed rank distribution makes shard 0 hot while remaining
-    splittable. A bijection of [0, keys) when
-    [shards * buckets_per_shard] divides [keys]. *)
-
-type dist =
-  | Uniform
-  | Zipfian of { theta : float }
-  | Hot of { pct : int; hot_keys : int }
-      (** [pct]% of writes drawn uniformly from the first [hot_keys]
-          clustered ranks; the rest uniform over the keyspace. *)
+type dist = Uniform | Zipfian of { theta : float }
 
 type arrival =
   | Closed
@@ -140,8 +127,7 @@ type spec = {
                         [Uniform] only. *)
   writes_per_txn : int;
   seed : int;  (** Splitmix seed; same seed, same run. *)
-  retries : int;  (** Requeue budget per transaction (admission
-                      [Queue]). *)
+  retries : int;  (** Requeue budget per [Overloaded] transaction. *)
   dist : dist;
   arrival : arrival;
   queue_cap : int option;
@@ -172,11 +158,10 @@ type result = {
   reads : int;  (** Reads served (either mode). *)
   cross : int;
   shed : int;
-      (** Deliberate drops: admission-[Shed] overload plus token-bucket
-          [Shed] refusals. *)
+      (** Token-bucket [Shed] refusals. *)
   failed : int;
-      (** Transactions whose retry budget ran out (admission [Queue]) —
-          reported distinctly, never as success or shed. *)
+      (** Transactions whose retry budget ran out — reported
+          distinctly, never as success or shed. *)
   requeued : int;
   moved : int;
       (** Requeues caused by a shard move's handoff window ([Moved]). *)
@@ -193,7 +178,11 @@ type result = {
 
 val run : Store.t -> spec -> result
 (** Generate, enqueue and execute the whole mix; deterministic for a
-    given store configuration and spec. Raises [Lvm_vm.Error.Lvm_error
-    (Invalid { op = "Workload.run"; _ })] when the run can make no more
+    given store configuration and spec. Raises [Lvm_vm.Error.Lvm_error]
+    before running anything: [Out_of_range] for [txns < 1], [cross_pct]
+    or [read_pct] outside 0–100, [writes_per_txn < 1], [retries < 0],
+    [readers < 1] or [queue_cap < 1], and [Invalid] for a [queue_cap]
+    under [Closed] arrivals. Raises
+    [Invalid { op = "Workload.run"; _ }] when the run can make no more
     progress: a shard move stalls with nothing else to run, or a worker
     waits on a held shard that no live task can release. *)

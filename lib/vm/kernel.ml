@@ -109,6 +109,10 @@ let reclaimable t seg =
   && Segment.logged_via seg = None
   && not (Hashtbl.mem t.dc_sources (Segment.id seg))
 
+(* Evict up to [target] reclaimable pages (backed, unlogged, not part of
+   a deferred-copy pair); returns how many were reclaimed. Victims are
+   the first [target] reclaimable frames in ascending frame number, paged
+   out in that order. Invoked automatically under memory pressure. *)
 let reclaim_frames t ~target =
   let victims = ref [] and n = ref 0 and frame = ref 0 in
   while !n < target && !frame < Array.length t.frame_owner do
@@ -567,9 +571,6 @@ let create_space t =
   if current t = None then set_current t (Some s);
   s
 
-let set_current_space t s = set_current t (Some s)
-let current_space t = current t
-
 let context_switch t space =
   Machine.compute t.machine Cycles.context_switch;
   Lvm_obs.Counter.incr t.c_switches;
@@ -916,30 +917,5 @@ let run_cpus t ~tasks =
         end
       end
     done
-  done;
-  set_cpu t 0
-
-let run_cpus_clocked t ~tasks =
-  let n = Array.length tasks in
-  if n = 0 || n > cpus t then
-    invalid_arg "Kernel.run_cpus_clocked: need 1 <= tasks <= cpus";
-  let live = Array.make n true in
-  let remaining = ref n in
-  while !remaining > 0 do
-    (* Conservative event order: of the unfinished tasks, step the one
-       whose CPU clock is lowest; scanning downwards with [<=] makes
-       ties land on the lowest CPU index. *)
-    let next = ref (-1) in
-    for i = n - 1 downto 0 do
-      if live.(i)
-         && (!next = -1 || cpu_time t ~cpu:i <= cpu_time t ~cpu:!next)
-      then next := i
-    done;
-    let i = !next in
-    set_cpu t i;
-    if not (tasks.(i) ()) then begin
-      live.(i) <- false;
-      decr remaining
-    end
   done;
   set_cpu t 0

@@ -77,26 +77,9 @@ val run_cpus : t -> tasks:(unit -> bool) array -> unit
     active once every task has finished. Raises [Invalid_argument] if
     there are no tasks or more tasks than CPUs. *)
 
-val run_cpus_clocked : t -> tasks:(unit -> bool) array -> unit
-(** Deterministic clock-ordered multi-CPU scheduler: like {!run_cpus},
-    but each iteration steps the unfinished task whose CPU clock is
-    lowest (ties to the lowest CPU index) — conservative event order.
-    Round-robin order charges a lagging CPU's next bus access with the
-    whole clock skew accumulated by the leaders, which mis-prices
-    coarse task steps (e.g. a step that commits a transaction);
-    clock-ordered scheduling keeps the skew bounded by one step, so bus
-    waits reflect genuine contention. Same determinism guarantee. *)
-
 (** {1 Objects} *)
 
 val create_space : t -> Address_space.t
-
-val set_current_space : t -> Address_space.t -> unit
-(** Make a space current (the on-chip logging hardware of Section 4.6 keys
-    its tables by virtual address, so the kernel tracks whose TLB is
-    loaded). *)
-
-val current_space : t -> Address_space.t option
 
 val context_switch : t -> Address_space.t -> unit
 (** Switch the processor to another process's address space, unloading
@@ -122,12 +105,6 @@ val sync_segment : t -> Segment.t -> unit
 val evict_page : t -> Segment.t -> page:int -> unit
 (** Page one resident page out to the backing store, dropping its frame
     and mappings; the next access faults it back in. *)
-
-val reclaim_frames : t -> target:int -> int
-(** Evict up to [target] reclaimable pages (backed, unlogged, not part of
-    a deferred-copy pair); returns how many were reclaimed. Victims are
-    the first [target] reclaimable frames in ascending frame number, paged
-    out in that order. Invoked automatically under memory pressure. *)
 
 val create_log_segment :
   ?mode:Lvm_machine.Logger.mode -> t -> size:int -> Segment.t

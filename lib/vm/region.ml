@@ -33,7 +33,6 @@ let size t = t.size
 let pages t = t.size / Addr.page_size
 let log t = t.log
 let set_log t l = t.log <- l
-let logging_enabled t = t.logging_enabled
 let set_logging_enabled t b = t.logging_enabled <- b
 let is_logged t = t.log <> None && t.logging_enabled
 let binding t = t.binding

@@ -23,10 +23,8 @@ val log : t -> Segment.t option
 
 val set_log : t -> Segment.t option -> unit
 
-val logging_enabled : t -> bool
-(** Dynamic switch: a region with a log segment only logs while enabled. *)
-
 val set_logging_enabled : t -> bool -> unit
+(** Dynamic switch: a region with a log segment only logs while enabled. *)
 
 val is_logged : t -> bool
 (** [log] present and logging enabled. *)

@@ -314,14 +314,10 @@ let test_config_validation () =
   in
   err "replicas" (range "replicas" 0) (fun () ->
       ignore (Repl.create { (cfg ()) with replicas = 0 }));
-  err "frame_bytes" (range "frame_bytes" 0) (fun () ->
-      ignore (Repl.create { (cfg ()) with frame_bytes = 0 }));
-  err "tail_bytes" (range "tail_bytes" (-1)) (fun () ->
-      ignore (Repl.create { (cfg ()) with tail_bytes = -1 }));
   err "timeout" (range "timeout" 0) (fun () ->
       ignore (Repl.create { (cfg ()) with timeout = 0 }));
-  err "detach_after below timeout" (range "detach_after" 5) (fun () ->
-      ignore (Repl.create { (cfg ()) with timeout = 12; detach_after = 5 }));
+  err "timeout above detach" (range "timeout" 97) (fun () ->
+      ignore (Repl.create { (cfg ()) with timeout = 97 }));
   err "size"
     (Error.Invalid
        { op = "Repl.create"; reason = "size must be a positive word multiple" })

@@ -15,9 +15,8 @@ let read st key =
   | Ok v -> v
   | Error e -> Alcotest.fail (Lvm.Lvm_error.to_string e)
 
-let make ?(shards = 2) ?(keys = 32) ?(admission = Store.Config.Queue) () =
-  Store.create
-    { Store.Config.default with shards; keys; admission; compute = 40 }
+let make ?(shards = 2) ?(keys = 32) () =
+  Store.create { Store.Config.default with shards; keys; compute = 40 }
 
 (* Booting a store is one machine plus its shards' regions and logs: it
    must not carry a table the size of the logger's whole PMT per shard

@@ -203,6 +203,42 @@ let test_store_validation () =
        { Store.Config.default with
          shards = 1; keys = 8; log_pages = 32; max_log_pages = Some 32 })
 
+(* [Workload.run] rejects a malformed spec with a typed error before
+   running anything, one case per checked field. *)
+let workload_spec_cases =
+  let module W = Lvm_store.Workload in
+  let range what value =
+    Error.Out_of_range { op = "Workload.run"; what; value }
+  in
+  let case name e spec =
+    Alcotest.test_case ("workload spec: " ^ name) `Quick (fun () ->
+        let st =
+          Lvm_store.Store.create
+            { Lvm_store.Store.Config.default with shards = 2; keys = 32 }
+        in
+        Alcotest.check_raises name (Error.Lvm_error e) (fun () ->
+            ignore (W.run st spec)))
+  in
+  [ case "txns" (range "txns" 0) { W.default with txns = 0 };
+    case "cross_pct" (range "cross_pct" 101)
+      { W.default with cross_pct = 101 };
+    case "writes_per_txn" (range "writes_per_txn" 0)
+      { W.default with writes_per_txn = 0 };
+    case "retries" (range "retries" (-1)) { W.default with retries = -1 };
+    case "read_pct" (range "read_pct" (-5)) { W.default with read_pct = -5 };
+    case "readers" (range "readers" 0) { W.default with readers = 0 };
+    case "queue_cap" (range "queue_cap" 0)
+      { W.default with
+        queue_cap = Some 0;
+        arrival =
+          W.Open
+            { mean_gap = 6000; burst_every = 64; burst_len = 16;
+              burst_gap = 750 } };
+    case "queue_cap without Open"
+      (Error.Invalid
+         { op = "Workload.run"; reason = "queue_cap needs Open arrivals" })
+      { W.default with queue_cap = Some 4 } ]
+
 let test_tools_validation () =
   let k, sp = boot () in
   let out = Lvm_tools.Output_stream.create_indexed k sp ~size:4096
@@ -231,5 +267,6 @@ let suites =
         Alcotest.test_case "sharded store config" `Quick
           test_store_validation;
         Alcotest.test_case "tools" `Quick test_tools_validation;
-      ] );
+      ]
+      @ workload_spec_cases );
   ]
