@@ -106,7 +106,8 @@ let read_word t ~off =
    cached write. *)
 let apply_to_consumer t ~off ~size v =
   let paddr = Kernel.paddr_of t.k t.consumer ~off in
-  Machine.write (Kernel.machine t.k) ~paddr ~size ~mode:Machine.Write_back
+  Machine.write (Kernel.machine t.k) ~paddr ~vaddr:paddr
+    ~size ~mode:Machine.Write_back
     ~logged:false v
 
 let release_twin_diff t =

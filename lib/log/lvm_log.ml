@@ -1,14 +1,13 @@
 open Lvm_machine
 open Lvm_vm
 
-type extent_state = Active | Sealed | Truncatable | Recycled
+type extent_state = Active | Sealed | Recycled
 
 type stats = {
   extents : int;
   extent_pages : int;
   active : int;
   sealed : int;
-  truncatable : int;
   recycled : int;
   capacity : int;
   write_pos : int;
@@ -23,7 +22,6 @@ type t = {
   k : Kernel.t;
   seg : Segment.t;
   extent_pages : int;
-  mutable truncatable_upto : int; (* bytes below this are dead *)
   mutable high_water : int; (* highest extent index ever entered *)
   mutable switches : int;
   mutable reuses : int;
@@ -53,8 +51,7 @@ let refresh_gauges t =
   Lvm_obs.Counter.set t.g_extents (extent_count t);
   Lvm_obs.Counter.set t.g_util
     (if capacity = 0 then 0 else pos * 100 / capacity);
-  let sealed_bytes = pos / extent_bytes t * extent_bytes t in
-  Lvm_obs.Counter.set t.g_lag (max 0 (sealed_bytes - t.truncatable_upto))
+  Lvm_obs.Counter.set t.g_lag (pos / extent_bytes t * extent_bytes t)
 
 (* {1 The per-kernel registry and the crossing observer} *)
 
@@ -76,19 +73,19 @@ let note_crossing t ~next_page ~absorbed =
     refresh_gauges t
   end
 
-type registry = { logs : (int, t) Hashtbl.t }
+type registry = { logs : t Int_table.t } (* keyed by segment id *)
 type Kernel.ext += Registry of registry
 
 let registry k =
   match Kernel.log_ext k with
   | Some (Registry r) -> r
   | Some _ | None ->
-    let r = { logs = Hashtbl.create 8 } in
+    let r = { logs = Int_table.create 8 } in
     Kernel.set_log_ext k (Some (Registry r));
     Kernel.set_log_crossing_observer k
       (Some
          (fun seg ~next_page ~absorbed ->
-           match Hashtbl.find_opt r.logs (Segment.id seg) with
+           match Int_table.find_opt r.logs (Segment.id seg) with
            | None -> ()
            | Some t -> note_crossing t ~next_page ~absorbed));
     r
@@ -100,9 +97,10 @@ let attach ?(extent_pages = 4) k seg =
          { op = "Lvm_log.of_segment"; what = "extent_pages";
            value = extent_pages });
   let r = registry k in
-  match Hashtbl.find_opt r.logs (Segment.id seg) with
-  | Some t -> t
-  | None ->
+  (* [find], not [find_opt]: every CULT attaches its log *)
+  match Int_table.find r.logs (Segment.id seg) with
+  | t -> t
+  | exception Not_found ->
     let ctx = Kernel.obs k in
     let gauge fmt_name =
       Lvm_obs.Ctx.counter ctx
@@ -113,7 +111,6 @@ let attach ?(extent_pages = 4) k seg =
         k;
         seg;
         extent_pages;
-        truncatable_upto = 0;
         high_water = Segment.write_pos seg / (extent_pages * Addr.page_size);
         switches = 0;
         reuses = 0;
@@ -127,7 +124,7 @@ let attach ?(extent_pages = 4) k seg =
         g_lag = gauge "truncation_lag";
       }
     in
-    Hashtbl.replace r.logs (Segment.id seg) t;
+    Int_table.replace r.logs (Segment.id seg) t;
     refresh_gauges t;
     t
 
@@ -149,7 +146,6 @@ let extent_state t i =
   let active_ext = Segment.write_pos t.seg / extent_bytes t in
   if i = active_ext then Active
   else if i > active_ext then Recycled
-  else if (i + 1) * extent_bytes t <= t.truncatable_upto then Truncatable
   else Sealed
 
 let sync t = Kernel.sync_log t.k t.seg
@@ -183,18 +179,16 @@ let stats t =
   in
   let capacity = Segment.size t.seg in
   let pos = Segment.write_pos t.seg in
-  let sealed_bytes = pos / extent_bytes t * extent_bytes t in
   {
     extents = n;
     extent_pages = t.extent_pages;
     active = count Active;
     sealed = count Sealed;
-    truncatable = count Truncatable;
     recycled = count Recycled;
     capacity;
     write_pos = pos;
     utilization_pct = (if capacity = 0 then 0 else pos * 100 / capacity);
-    truncation_lag = max 0 (sealed_bytes - t.truncatable_upto);
+    truncation_lag = pos / extent_bytes t * extent_bytes t;
     switches = t.switches;
     reuses = t.reuses;
     recycled_total = t.recycled_total;
@@ -243,17 +237,6 @@ let reserve t ~bytes ~max_pages =
 
 (* {1 Truncation and compaction} *)
 
-(* Declare records before byte [upto] dead: whole extents below the
-   watermark become [Truncatable]. Does not move data. *)
-let mark_truncatable t ~upto =
-  sync t;
-  if upto < 0 || upto > Segment.write_pos t.seg then
-    Error.raise_
-      (Error.Out_of_range
-         { op = "truncate_log"; what = "keep_from"; value = upto });
-  if upto > t.truncatable_upto then t.truncatable_upto <- upto;
-  refresh_gauges t
-
 let snapshot_bytes k seg ~len =
   let mem = Machine.mem (Kernel.machine k) in
   let buf = Bytes.create len in
@@ -277,12 +260,16 @@ let write_stream_bytes t buf =
     off := !off + chunk
   done
 
-(* Recycle everything below the truncation watermark. *)
-let compact t =
+(* One sync, then the records below [keep_from] die: the kept suffix
+   moves to the front and the extents it vacated are recycled. *)
+let truncate t ~keep_from =
   sync t;
   let seg = t.seg in
   let pos = Segment.write_pos seg in
-  let keep_from = min t.truncatable_upto pos in
+  if keep_from < 0 || keep_from > pos then
+    Error.raise_
+      (Error.Out_of_range
+         { op = "truncate_log"; what = "keep_from"; value = keep_from });
   let remaining =
     match stream_version t.k t.seg with
     | Log_record.V0 ->
@@ -337,13 +324,8 @@ let compact t =
     event t
       (Lvm_obs.Event.Log_recycle { segment = Segment.id seg; extents = freed })
   end;
-  t.truncatable_upto <- 0;
   Kernel.rearm_log t.k seg;
   refresh_gauges t
-
-let truncate t ~keep_from =
-  mark_truncatable t ~upto:keep_from;
-  compact t
 
 let seal t =
   sync t;
@@ -374,7 +356,6 @@ let truncate_suffix t ~new_end =
       (Error.Out_of_range
          { op = "truncate_log_suffix"; what = "new_end"; value = new_end });
   Segment.set_write_pos t.seg new_end;
-  if t.truncatable_upto > new_end then t.truncatable_upto <- new_end;
   Kernel.rearm_log t.k t.seg;
   refresh_gauges t
 

@@ -9,22 +9,21 @@
     {2 Extent rings}
 
     A managed log is a chain of fixed-size page {e extents} laid out
-    consecutively in its segment. Each extent is in one of four states,
-    derived from the write position and the truncation watermark:
+    consecutively in its segment. Each extent is in one of three states,
+    derived from the write position:
 
     - [Active] — the logger's log-table entry points into it;
     - [Sealed] — fully written, awaiting truncation;
-    - [Truncatable] — marked reclaimable by a commit or checkpoint;
     - [Recycled] — reclaimed; reused before any new extent is allocated.
 
     Extent switches ride the existing [Log_addr_invalid] logging-fault
     path: when the logger crosses into the first page of the next extent
     the kernel re-points the log-table entry and this module accounts the
     switch (and whether the extent was a recycled one — steady-state
-    logging stops allocating once the ring is primed). Compaction
-    ({!truncate}) recycles truncatable extents with the kernel's bcopy
-    path, exactly as the seed's offset-based [truncate_log] did, so
-    costs are unchanged.
+    logging stops allocating once the ring is primed). Truncation
+    ({!truncate}) recycles the extents a commit or checkpoint made dead,
+    in one step, with the kernel's bcopy path, exactly as the seed's
+    offset-based [truncate_log] did, so costs are unchanged.
 
     {2 Group commit}
 
@@ -40,20 +39,19 @@
 type t
 (** A managed log: a log segment plus its lifecycle state. *)
 
-type extent_state = Active | Sealed | Truncatable | Recycled
+type extent_state = Active | Sealed | Recycled
 
 type stats = {
   extents : int;  (** provisioned extents (capacity / extent bytes) *)
   extent_pages : int;
   active : int;
   sealed : int;
-  truncatable : int;
   recycled : int;
   capacity : int;  (** segment capacity, bytes *)
   write_pos : int;  (** synchronized write position, bytes *)
   utilization_pct : int;  (** write_pos * 100 / capacity *)
   truncation_lag : int;
-      (** bytes sealed but not yet marked truncatable — how far
+      (** bytes in sealed extents, not yet truncated — how far
           checkpointing trails the logger *)
   switches : int;  (** extent switches observed on the fault path *)
   reuses : int;  (** switches that landed on a recycled extent *)
@@ -117,10 +115,10 @@ val reserve : t -> bytes:int -> max_pages:int -> unit
     caller issues the writes if that would exceed [max_pages]. *)
 
 val truncate : t -> keep_from:int -> unit
-(** Declare the records before byte [keep_from] dead (a commit or
-    checkpoint made them redundant; whole extents below it become
-    [Truncatable]), then compact: move the kept suffix to the front of
-    the segment (kernel bcopy, charged), recycle the freed extents and
+(** The records before byte [keep_from] are dead (a commit or
+    checkpoint made them redundant): after one sync, move the kept
+    suffix to the front of the segment (kernel bcopy, charged), recycle
+    the freed extents and
     re-arm the logger at the new write position — the seed's
     [truncate_log], expressed in lifecycle terms. Raises
     [Error.Out_of_range] unless [0 <= keep_from <= length]. *)

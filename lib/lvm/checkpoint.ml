@@ -51,7 +51,8 @@ let replay k ~log ~from ~seg ~f =
      with Stop off -> off)
 
 let write m ~paddr ~size ~value =
-  Machine.write m ~paddr ~size ~mode:Machine.Write_back ~logged:false value
+  Machine.write m ~paddr ~vaddr:paddr
+    ~size ~mode:Machine.Write_back ~logged:false value
 
 let rollback k ~space ~working ~working_region ~base ~log ~upto =
   (* Re-applied updates must not be re-logged (logging is dynamically
@@ -84,7 +85,7 @@ let cult k ~working ~checkpoint ~log ~upto =
         end)
   in
   (* checkpoint-driven compaction: CULT'd records are dead, so the
-     extents below [stop] are truncatable and get recycled *)
+     extents below [stop] get recycled *)
   Lvm_log.truncate (Lvm_log.of_segment k log) ~keep_from:stop;
   !applied
 

@@ -82,24 +82,27 @@ let walk_v0 ?(start = 0) k ls ~f =
   let generation = ref (Segment.generation ls) in
   let page_start = ref (-1) (* log offset of the cached page; -1: none *) in
   let page_paddr = ref 0 in
-  let rec go off =
+  (* A loop, not a recursive closure, so these refs stay unboxed: the
+     walk allocates nothing. *)
+  let off = ref start and walking = ref true in
+  while !walking do
     if Segment.generation ls <> !generation then begin
       generation := Segment.generation ls;
       page_start := -1;
       len := min !len (Segment.write_pos ls)
     end;
-    if off + Log_record.bytes > !len then off
+    if !off + Log_record.bytes > !len then walking := false
     else begin
-      if !page_start < 0 || off - !page_start >= Addr.page_size then begin
-        page_start := off - Addr.page_offset off;
+      if !page_start < 0 || !off - !page_start >= Addr.page_size then begin
+        page_start := !off - Addr.page_offset !off;
         page_paddr := Kernel.paddr_of k ls ~off:!page_start
       end;
-      if f ~off ~paddr:(!page_paddr + (off - !page_start)) then
-        go (off + Log_record.bytes)
-      else off
+      if f ~off:!off ~paddr:(!page_paddr + (!off - !page_start)) then
+        off := !off + Log_record.bytes
+      else walking := false
     end
-  in
-  go start
+  done;
+  !off
 
 let fold_v0 ?start k ls ~init ~f =
   let mem = Machine.mem (Kernel.machine k) in

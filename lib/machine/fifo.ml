@@ -12,9 +12,13 @@ let create ~capacity =
 
 let capacity t = t.capacity
 
+(* [i] wrapped into the ring, for [0 <= i < 2 * capacity]: a compare,
+   not a division, on the per-write path. *)
+let wrap t i = if i >= t.capacity then i - t.capacity else i
+
 let drain_until t ~now =
   while t.len > 0 && t.buf.(t.head) <= now do
-    t.head <- (t.head + 1) mod t.capacity;
+    t.head <- wrap t (t.head + 1);
     t.len <- t.len - 1
   done
 
@@ -24,7 +28,7 @@ let occupancy t ~now =
 
 let push t ~drain_time =
   if t.len >= t.capacity then invalid_arg "Fifo.push: overflow";
-  t.buf.((t.head + t.len) mod t.capacity) <- drain_time;
+  t.buf.(wrap t (t.head + t.len)) <- drain_time;
   t.len <- t.len + 1;
   if drain_time > t.last_drain then t.last_drain <- drain_time
 

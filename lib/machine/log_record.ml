@@ -32,9 +32,16 @@ let decode_bytes buf ~pos =
 
 let scratch = Bytes.create bytes
 
+let encode_fields mem ~paddr ~addr ~value ~size ~timestamp ~pre_image =
+  Physmem.write_word mem paddr addr;
+  Physmem.write_word mem (paddr + value_offset) value;
+  Physmem.write_word mem (paddr + flags_offset)
+    ((size land 0xFF) lor (if pre_image then pre_image_flag else 0));
+  Physmem.write_word mem (paddr + 12) timestamp
+
 let encode_to mem ~paddr t =
-  encode_bytes scratch ~pos:0 t;
-  Physmem.blit_of_bytes mem scratch ~pos:0 ~dst:paddr ~len:bytes
+  encode_fields mem ~paddr ~addr:t.addr ~value:t.value ~size:t.size
+    ~timestamp:t.timestamp ~pre_image:t.pre_image
 
 let decode_from mem ~paddr =
   Physmem.blit_to_bytes mem ~src:paddr scratch ~pos:0 ~len:bytes;

@@ -27,6 +27,12 @@ val bytes : int
 val encode_to : Physmem.t -> paddr:int -> t -> unit
 (** Store the record at physical address [paddr]. *)
 
+val encode_fields :
+  Physmem.t -> paddr:int -> addr:int -> value:int -> size:int ->
+  timestamp:int -> pre_image:bool -> unit
+(** {!encode_to} of the record with these fields, without building it:
+    the logger's per-write path. *)
+
 val decode_from : Physmem.t -> paddr:int -> t
 (** Parse the record at physical address [paddr]. *)
 

@@ -207,11 +207,20 @@ let invalidate_log_entry t ~index =
     invalid_arg "Logger.invalidate_log_entry: bad index";
   t.table.(index).l_valid <- false
 
-let log_entry t ~index =
+let entry t ~index =
   if index < 0 || index >= Array.length t.table then
     invalid_arg "Logger.log_entry: bad index";
-  let e = t.table.(index) in
+  t.table.(index)
+
+let log_entry t ~index =
+  let e = entry t ~index in
   if e.l_valid then Some (e.l_mode, e.next_addr) else None
+
+let log_entry_addr t ~index =
+  let e = entry t ~index in
+  if e.l_valid then e.next_addr else -1
+
+let log_entry_mode t ~index = (entry t ~index).l_mode
 
 (* Field a logging fault: the logger suspends while the kernel repairs its
    tables, which costs CPU time. *)
@@ -238,8 +247,8 @@ let emit t entry ~record_addr ~paddr ~vaddr ~size ~value ~timestamp
   let logged_addr = match t.hw with Prototype -> paddr | On_chip -> vaddr in
   match entry.l_mode with
   | Normal ->
-    Log_record.encode_to t.mem ~paddr:record_addr
-      { Log_record.addr = logged_addr; value; size; timestamp; pre_image };
+    Log_record.encode_fields t.mem ~paddr:record_addr ~addr:logged_addr ~value
+      ~size ~timestamp ~pre_image;
     entry.next_addr <- record_addr + Log_record.bytes;
     if Addr.page_offset entry.next_addr = 0 then entry.l_valid <- false
   | Direct_mapped ->
@@ -250,23 +259,27 @@ let emit t entry ~record_addr ~paddr ~vaddr ~size ~value ~timestamp
     entry.next_addr <- record_addr + Addr.word_size;
     if Addr.page_offset entry.next_addr = 0 then entry.l_valid <- false
 
-(* Run one write FIFO entry through the logger pipeline: table lookups and
-   record formation, then the DMA whose final cycles occupy the bus. *)
-let rec service_one t (w : raw) ~attempts =
+(* Run one write FIFO entry, given field by field, through the logger
+   pipeline: table lookups and record formation, then the DMA whose final
+   cycles occupy the bus. *)
+let rec service t ~paddr ~vaddr ~size ~value ~arrival ~timestamp ~pre_image
+    ~attempts =
   if attempts > 4 then
     t.perf.Perf.log_records_lost <- t.perf.Perf.log_records_lost + 1
   else
     (* The prototype's page mapping table is keyed by physical page; the
        on-chip design (Section 4.6) keys its TLB-resident log descriptors
        by virtual page, which is what makes per-region logs possible. *)
-    let key = match t.hw with Prototype -> w.w_paddr | On_chip -> w.w_vaddr in
+    let key = match t.hw with Prototype -> paddr | On_chip -> vaddr in
     let page = Addr.page_number key in
     let log_index = pmt_index t ~page in
     if log_index < 0 then begin
       match fault t (Pmt_miss { paddr = key }) with
       | Drop ->
         t.perf.Perf.log_records_lost <- t.perf.Perf.log_records_lost + 1
-      | Fixed -> service_one t w ~attempts:(attempts + 1)
+      | Fixed ->
+        service t ~paddr ~vaddr ~size ~value ~arrival ~timestamp ~pre_image
+          ~attempts:(attempts + 1)
     end
     else
       let entry = t.table.(log_index) in
@@ -274,7 +287,9 @@ let rec service_one t (w : raw) ~attempts =
         match fault t (Log_addr_invalid { log_index }) with
         | Drop ->
           t.perf.Perf.log_records_lost <- t.perf.Perf.log_records_lost + 1
-        | Fixed -> service_one t w ~attempts:(attempts + 1)
+        | Fixed ->
+          service t ~paddr ~vaddr ~size ~value ~arrival ~timestamp ~pre_image
+            ~attempts:(attempts + 1)
       end
       else begin
         match fault_check t ~site:Lvm_fault.Fault.Log_dma ~cycle:!(t.clock) with
@@ -283,10 +298,9 @@ let rec service_one t (w : raw) ~attempts =
              like an unrepairable logging fault. *)
           t.perf.Perf.log_records_lost <- t.perf.Perf.log_records_lost + 1
         | Some _ | None ->
-        emit t entry ~record_addr:entry.next_addr ~paddr:w.w_paddr
-          ~vaddr:w.w_vaddr ~size:w.w_size ~value:w.w_value
-          ~timestamp:w.w_timestamp ~pre_image:w.w_pre_image;
-        let start = Int.max w.w_arrival t.free_at in
+        emit t entry ~record_addr:entry.next_addr ~paddr ~vaddr ~size ~value
+          ~timestamp ~pre_image;
+        let start = Int.max arrival t.free_at in
         let lookup_done = start + Cycles.logger_lookup in
         let dma_internal =
           Cycles.log_record_dma_total - Cycles.log_record_dma_bus
@@ -299,11 +313,14 @@ let rec service_one t (w : raw) ~attempts =
         Fifo.push t.fifo ~drain_time:bus_done;
         t.perf.Perf.log_records <- t.perf.Perf.log_records + 1;
         match t.snoop_observer with
-        | Some observe when not w.w_pre_image ->
-          observe ~paddr:w.w_paddr ~vaddr:w.w_vaddr ~size:w.w_size
-            ~value:w.w_value
+        | Some observe when not pre_image -> observe ~paddr ~vaddr ~size ~value
         | Some _ | None -> ()
       end
+
+let service_one t (w : raw) ~attempts =
+  service t ~paddr:w.w_paddr ~vaddr:w.w_vaddr ~size:w.w_size ~value:w.w_value
+    ~arrival:w.w_arrival ~timestamp:w.w_timestamp ~pre_image:w.w_pre_image
+    ~attempts
 
 let occupancy_at t ~now = Fifo.occupancy t.fifo ~now
 let occupancy t = occupancy_at t ~now:!(t.clock)
@@ -610,59 +627,58 @@ let flush_coalesced t =
 
 let discard_coalesced t = Option.iter (fun co -> ignore (Squash.drain co)) t.co
 
-let snoop ?old_value t ~paddr ~vaddr ~size ~value =
+(* Admit a write arriving now and run it through the V0 pipeline,
+   stamped with its arrival cycle once any overload is over. *)
+let service_now t ~paddr ~vaddr ~size ~value ~pre_image =
+  let arrival = !(t.clock) in
+  admit t ~arrival;
+  let arrival = Int.max arrival !(t.clock) in
+  service t ~paddr ~vaddr ~size ~value ~arrival
+    ~timestamp:(arrival / Cycles.timestamp_divider) ~pre_image ~attempts:0
+
+let snoop_pre_image t ~paddr ~vaddr ~size ~value =
+  if t.enabled && t.record_old_values then
+    service_now t ~paddr ~vaddr ~size ~value ~pre_image:true
+
+(* A new-value write arriving at [arrival], as the coalescing buffer and
+   the V1 datapath take it. *)
+let raw_at ~paddr ~vaddr ~size ~value arrival =
+  {
+    w_paddr = paddr;
+    w_vaddr = vaddr;
+    w_size = size;
+    w_value = value;
+    w_arrival = arrival;
+    w_timestamp = arrival / Cycles.timestamp_divider;
+    w_pre_image = false;
+  }
+
+(* Offer a write to the coalescing buffer: whether it stays there. *)
+let park t co ~paddr ~vaddr ~size ~value =
+  match
+    Squash.write co ~addr:paddr ~size
+      (raw_at ~paddr ~vaddr ~size ~value !(t.clock))
+      ~flush:(emit_coalesced t)
+  with
+  | Squash.Absorbed ->
+    (match t.stats with
+    | Some s -> Lvm_obs.Counter.incr s.s_absorbed
+    | None -> ());
+    true
+  | Squash.Parked -> true
+  | Squash.Bypass -> false
+
+let snoop t ~paddr ~vaddr ~size ~value =
   if t.enabled then begin
-    (* pre-image first, so readers see old value then new value *)
-    (match (t.record_old_values, old_value) with
-    | true, Some old ->
-      let arrival = !(t.clock) in
-      admit t ~arrival;
-      let arrival = Int.max arrival !(t.clock) in
-      service_one t
-        {
-          w_paddr = paddr;
-          w_vaddr = vaddr;
-          w_size = size;
-          w_value = old;
-          w_arrival = arrival;
-          w_timestamp = arrival / Cycles.timestamp_divider;
-          w_pre_image = true;
-        }
-        ~attempts:0
-    | (true | false), _ -> ());
-    let raw_at arrival =
-      {
-        w_paddr = paddr;
-        w_vaddr = vaddr;
-        w_size = size;
-        w_value = value;
-        w_arrival = arrival;
-        w_timestamp = arrival / Cycles.timestamp_divider;
-        w_pre_image = false;
-      }
-    in
     let parked =
       match t.co with
       | None -> false
-      | Some co -> (
-        match
-          Squash.write co ~addr:paddr ~size (raw_at !(t.clock))
-            ~flush:(emit_coalesced t)
-        with
-        | Squash.Absorbed ->
-          (match t.stats with
-          | Some s -> Lvm_obs.Counter.incr s.s_absorbed
-          | None -> ());
-          true
-        | Squash.Parked -> true
-        | Squash.Bypass -> false)
+      | Some co -> park t co ~paddr ~vaddr ~size ~value
     in
     if not parked then
       match t.codec with
-      | Log_record.V1 -> service_batch t [ raw_at !(t.clock) ]
+      | Log_record.V1 ->
+        service_batch t [ raw_at ~paddr ~vaddr ~size ~value !(t.clock) ]
       | Log_record.V0 ->
-        let arrival = !(t.clock) in
-        admit t ~arrival;
-        let arrival = Int.max arrival !(t.clock) in
-        service_one t (raw_at arrival) ~attempts:0
+        service_now t ~paddr ~vaddr ~size ~value ~pre_image:false
   end

@@ -160,18 +160,31 @@ val invalidate_log_entry : t -> index:int -> unit
 val log_entry : t -> index:int -> (mode * int) option
 (** Mode and next-record address of a valid entry. *)
 
+val log_entry_addr : t -> index:int -> int
+(** The next-record address of a valid entry, [-1] for an invalid one:
+    {!log_entry}'s address without building an option. *)
+
+val log_entry_mode : t -> index:int -> mode
+(** The entry's mode, valid or not. *)
+
 val log_entries : t -> int
 
 (** {1 Datapath} *)
 
-val snoop :
-  ?old_value:int -> t -> paddr:int -> vaddr:int -> size:int -> value:int ->
-  unit
+val snoop : t -> paddr:int -> vaddr:int -> size:int -> value:int -> unit
 (** Observe a logged write on the bus: check FIFO pressure (overload
     interrupt or on-chip stall, possibly advancing the shared clock) and
     run the entry through the pipeline, booking its DMA on the bus's
     low-priority track. The machine calls this from its write path when
-    the page mapping asserts the "logged" bus signal. *)
+    the page mapping asserts the "logged" bus signal. Under [V0] without
+    coalescing it allocates nothing. *)
+
+val snoop_pre_image :
+  t -> paddr:int -> vaddr:int -> size:int -> value:int -> unit
+(** The pre-image record of a logged write whose old value is [value],
+    when the logger records old values ({!records_old_values}); a no-op
+    otherwise. The machine calls it just before {!snoop}, so readers see
+    the old value, then the new one. *)
 
 val busy : t -> bool
 (** Whether the logger is still draining records at the current clock. *)

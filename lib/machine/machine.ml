@@ -176,9 +176,8 @@ let snoop_invalidate t ~paddr =
         Lvm_obs.Counter.incr counter
     done
 
-let write t ~paddr ?vaddr ~size ~mode ~logged value =
+let write t ~paddr ~vaddr ~size ~mode ~logged value =
   cpu_boundary t;
-  let vaddr = match vaddr with Some v -> v | None -> paddr in
   (match (mode, logged) with
   | Write_back, true ->
     invalid_arg "Machine.write: logged pages must be write-through"
@@ -191,10 +190,9 @@ let write t ~paddr ?vaddr ~size ~mode ~logged value =
     c.clk := !(c.clk) + Cycles.wt_logger_interference;
   (* pre-image capture (Section 4.6 option): the old value is available
      for free during the store on the hardware side *)
+  let pre_image = logged && Logger.records_old_values t.logger in
   let old_value =
-    if logged && Logger.records_old_values t.logger then
-      Some (Physmem.read_sized t.mem paddr ~size)
-    else None
+    if pre_image then Physmem.read_sized t.mem paddr ~size else 0
   in
   (match mode with
   | Write_through ->
@@ -204,7 +202,11 @@ let write t ~paddr ?vaddr ~size ~mode ~logged value =
     c.clk := L1_cache.write_back_mode_write c.l1 ~now:!(c.clk) ~paddr);
   Deferred_cache.note_write t.deferred ~paddr;
   Physmem.write_sized t.mem paddr ~size value;
-  if logged then Logger.snoop ?old_value t.logger ~paddr ~vaddr ~size ~value
+  if logged then begin
+    if pre_image then
+      Logger.snoop_pre_image t.logger ~paddr ~vaddr ~size ~value:old_value;
+    Logger.snoop t.logger ~paddr ~vaddr ~size ~value
+  end
 
 let bcopy t ~src ~dst ~len =
   if len < 0 || len mod Addr.word_size <> 0 then

@@ -132,12 +132,13 @@ val charge_read : t -> paddr:int -> words:int -> unit
     cache lookup per line (each further word of a line is a hit). *)
 
 val write :
-  t -> paddr:int -> ?vaddr:int -> size:int -> mode:write_mode ->
+  t -> paddr:int -> vaddr:int -> size:int -> mode:write_mode ->
   logged:bool -> int -> unit
-(** Write [size] bytes at [paddr]. Logged writes must use [Write_through]
-    (the kernel guarantees this; it is enforced here) and are snooped by
-    the logger, with [vaddr] recorded when the hardware logs virtual
-    addresses. *)
+(** Write [size] bytes at [paddr], issued at virtual address [vaddr].
+    Logged writes must use [Write_through] (the kernel guarantees this;
+    it is enforced here) and are snooped by the logger, with [vaddr]
+    recorded when the hardware logs virtual addresses; an unlogged write
+    ignores [vaddr]. *)
 
 val bcopy : t -> src:int -> dst:int -> len:int -> unit
 (** Kernel word-copy loop between physical ranges, charged at its

@@ -107,29 +107,40 @@ let open_redo t ~txn =
     | Log_record.V0 -> None
     | Log_record.V1 -> Some (Squash.create ~depth:max_int))
 
+(* Under V1 a redo word parks in the squash, stamped with the commit's
+   id: redo replay is positional, and equal timestamps let sequential
+   words group into runs and same-line rewrites into deltas. *)
+let squash_word t squash ~addr ~value =
+  let w =
+    { Log_record.addr; value; size = Addr.word_size; pre_image = false;
+      timestamp = t.redo_txn }
+  in
+  ignore (Squash.write squash ~addr ~size:Addr.word_size w ~flush:ignore)
+
+let check_whole_words ~off ~len =
+  if off mod Addr.word_size <> 0 || len mod Addr.word_size <> 0 then
+    invalid_arg "Durable.write_redo: V1 redo takes whole words"
+
 let write_redo t ~off bytes =
   match t.redo_words with
   | None ->
     Ramdisk.wal_append t.disk (Ramdisk.Data { txn = t.redo_txn; off; bytes })
   | Some squash ->
     let len = Bytes.length bytes in
-    if off mod Addr.word_size <> 0 || len mod Addr.word_size <> 0 then
-      invalid_arg "Durable.write_redo: V1 redo takes whole words";
+    check_whole_words ~off ~len;
     for i = 0 to (len / Addr.word_size) - 1 do
-      let addr = off + (Addr.word_size * i) in
-      let value =
-        Int32.to_int (Bytes.get_int32_le bytes (Addr.word_size * i))
-        land 0xFFFFFFFF
-      in
-      (* Timestamps are the commit's id: redo replay is positional, and
-         equal timestamps let sequential words group into runs and
-         same-line rewrites into deltas. *)
-      let w =
-        { Log_record.addr; value; size = Addr.word_size; pre_image = false;
-          timestamp = t.redo_txn }
-      in
-      ignore (Squash.write squash ~addr ~size:Addr.word_size w ~flush:ignore)
+      squash_word t squash ~addr:(off + (Addr.word_size * i))
+        ~value:
+          (Int32.to_int (Bytes.get_int32_le bytes (Addr.word_size * i))
+          land 0xFFFFFFFF)
     done
+
+let write_redo_value t ~off ~size ~value =
+  match t.redo_words with
+  | None -> Ramdisk.wal_append_value t.disk ~txn:t.redo_txn ~off ~size ~value
+  | Some squash ->
+    check_whole_words ~off ~len:size;
+    squash_word t squash ~addr:off ~value:(value land 0xFFFFFFFF)
 
 let finish_redo t marker =
   (match Option.map Squash.drain t.redo_words with

@@ -82,6 +82,11 @@ val write_redo : t -> off:int -> Bytes.t -> unit
 (** The new value of image bytes [off ..]. Under [V1] [off] and the
     length must be word multiples. *)
 
+val write_redo_value : t -> off:int -> size:int -> value:int -> unit
+(** One logged write's new value, [size] bytes (1, 2 or 4) at [off]: the
+    same redo as {!write_redo} of those bytes, built without them — under
+    [V0] it goes straight into the WAL buffer. *)
+
 val finish_redo : t -> Ramdisk.entry -> unit
 (** Append what is left of the redo, then the given commit marker, and
     note the commit with the group batcher (which forces the WAL once a

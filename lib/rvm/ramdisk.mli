@@ -14,9 +14,10 @@
     an FNV-1a checksum over (kind, txn, off, len, payload) — followed by
     the payload. Recovery fail-stops at the first record whose header or
     checksum does not parse, so a torn or corrupted tail is detected and
-    truncated rather than replayed. This module is the only reader of
-    the format: consumers walk records with {!wal_fold}, decode their
-    redo with {!redo} and find record boundaries with {!record_end}.
+    truncated rather than replayed. This module is the only reader and
+    writer of the format, and it reads records where they lie in the log
+    buffer: consumers walk records with {!wal_fold}, decode their redo
+    with {!redo} and find record boundaries with {!record_end}.
 
     Crash semantics for testing: a crash discards nothing here — the RAM
     disk {e is} the durable store — while the in-memory recoverable
@@ -79,6 +80,13 @@ val wal_append : t -> entry -> unit
 (** Serialize and append a redo or commit record, charging driver
     overhead and the copy at the cost model's record size. *)
 
+val wal_append_value :
+  t -> txn:int -> off:int -> size:int -> value:int -> unit
+(** Append the [Data] record of one logged write — the new [size]-byte
+    value ([size] 1, 2 or 4) of image bytes [off ..] under transaction
+    [txn] — exactly as {!wal_append} would, writing it straight into the
+    log buffer: no entry, no payload copy. *)
+
 val wal_force : t -> unit
 (** Force the log: the fixed commit-synchronization cost. Marks every
     appended byte durable and bumps the ["rvm.wal_forces"] counter. *)
@@ -121,7 +129,9 @@ val should_truncate : t -> bool
 val truncate : t -> unit
 (** Apply all committed entries to the image and clear the log, charging
     truncation costs. Uncommitted entries are preserved (there is at most
-    one open transaction). *)
+    one open transaction); bytes past a torn or corrupt record are
+    dropped. Works in place in two passes over the intact prefix: no
+    entry is built and no payload copied out. *)
 
 val recovered_image : t -> Bytes.t
 (** The image with every {e committed} intact WAL record applied — what

@@ -1,9 +1,6 @@
 open Lvm_machine
 open Lvm_vm
 
-exception No_transaction
-exception Transaction_open
-
 module Config = Durable.Config
 
 type t = {
@@ -34,8 +31,17 @@ let group t = Lvm_log.Batcher.group t.d.batcher
 let pending_commits t = Lvm_log.Batcher.pending t.d.batcher
 let flush_commits t = Lvm_log.Batcher.flush t.d.batcher
 
+(* The open transaction's id, or a typed [Invalid] naming [op]. *)
+let current t ~op =
+  match t.current with
+  | Some id -> id
+  | None -> Error.raise_ (Error.Invalid { op; reason = "no open transaction" })
+
 let begin_txn t =
-  if t.current <> None then raise Transaction_open;
+  if t.current <> None then
+    Error.raise_
+      (Error.Invalid
+         { op = "Rlvm.begin_txn"; reason = "a transaction is already open" });
   let id = t.next_txn in
   t.next_txn <- id + 1;
   t.current <- Some id;
@@ -47,14 +53,19 @@ let begin_txn t =
 let read_word t ~off = Durable.read_word t.d ~off
 
 let write_word t ~off v =
-  if t.current = None then raise No_transaction;
+  ignore (current t ~op:"Rlvm.write_word");
   Durable.check_off t.d off;
   Durable.reserve t.d;
   Kernel.compute t.d.k Rvm_costs.rlvm_write_overhead;
   Kernel.write_word t.d.k t.d.space (t.d.base + off) v
 
+(* The redo of one logged write at [off] of the working segment: the
+   transaction cell at [d.size] and writes elsewhere carry none. *)
+let redo (d : Durable.t) ~off ~size ~value =
+  if off >= 0 && off < d.size then Durable.write_redo_value d ~off ~size ~value
+
 let commit ?(pace = fun () -> ()) t =
-  let id = match t.current with None -> raise No_transaction | Some i -> i in
+  let id = current t ~op:"Rlvm.commit" in
   let d = t.d in
   (* If the logger fell back to absorbing records into the default log
      page, part of this transaction's redo information is already lost:
@@ -70,13 +81,33 @@ let commit ?(pace = fun () -> ()) t =
          { segment = Segment.id d.ls; pos = Segment.write_pos d.ls;
            capacity = Segment.size d.ls });
   (* Build redo records for the write-ahead log straight from the LVM
-     log — the records are already there; no set_range bookkeeping. *)
+     log — the records are already there; no set_range bookkeeping. One
+     [pace] per record scanned. *)
   Durable.open_redo d ~txn:id;
-  Lvm.Log_reader.iter d.k d.ls ~f:(fun ~off:_ r ->
-      pace ();
-      let off = Lvm.Log_reader.located d.k ~seg:d.working r in
-      if off >= 0 && off < d.size then
-        Durable.write_redo d ~off (Log_record.value_bytes r));
+  (match Lvm_log.stream_version d.k d.ls with
+  | Log_record.V0 ->
+    (* The flags, address and value words read raw: no record is built. *)
+    let mem = Machine.mem (Kernel.machine d.k) in
+    ignore
+      (Lvm.Log_reader.walk_v0 d.k d.ls ~f:(fun ~off:_ ~paddr ->
+           pace ();
+           let flags =
+             Physmem.read_word_raw mem (paddr + Log_record.flags_offset)
+           in
+           if not (Log_record.flags_pre_image flags) then
+             redo d
+               ~off:
+                 (Lvm.Log_reader.seg_offset d.k ~seg:d.working
+                    ~addr:(Physmem.read_word_raw mem paddr))
+               ~size:(Log_record.flags_size flags)
+               ~value:
+                 (Physmem.read_word_raw mem (paddr + Log_record.value_offset));
+           true))
+  | Log_record.V1 ->
+    Lvm.Log_reader.iter d.k d.ls ~f:(fun ~off:_ r ->
+        pace ();
+        redo d ~off:(Lvm.Log_reader.located d.k ~seg:d.working r)
+          ~size:r.Log_record.size ~value:r.Log_record.value));
   (* group commit: force once per batch (group 1 forces right here) *)
   Durable.finish_redo d (Ramdisk.Commit { txn = id });
   (* The force is a large pure-compute charge; yield before the CULT's
@@ -91,7 +122,7 @@ let commit ?(pace = fun () -> ()) t =
   Durable.truncate_if_forced d
 
 let abort t =
-  if t.current = None then raise No_transaction;
+  ignore (current t ~op:"Rlvm.abort");
   let d = t.d in
   Durable.rewind d ~restore:(fun () ->
       Kernel.reset_deferred_copy d.k d.space ~start:d.base

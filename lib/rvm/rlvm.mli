@@ -16,9 +16,6 @@
 
 type t
 
-exception No_transaction
-exception Transaction_open
-
 (** Creation-time configuration, shared with [Lvm_fams] (see
     {!Durable.Config} for the fields); override {!Durable.Config.default}
     with the functional-update syntax:
@@ -73,7 +70,10 @@ val flush_commits : t -> unit
 (** Force the WAL now if any commits are pending (group commit only). *)
 
 val begin_txn : t -> unit
-(** One logged write of the transaction id to the special cell. *)
+(** One logged write of the transaction id to the special cell. Misuse
+    raises a typed [Lvm_vm.Error.Lvm_error (Invalid { op; reason })]
+    naming the call: [begin_txn] while one is open, or {!write_word},
+    {!commit} or {!abort} with none open. *)
 
 val read_word : t -> off:int -> int
 

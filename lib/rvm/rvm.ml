@@ -1,8 +1,6 @@
 open Lvm_vm
 
 exception Unannotated_write of { off : int }
-exception No_transaction
-exception Transaction_open
 
 type range = { r_off : int; r_len : int; old : Bytes.t }
 type txn = { id : int; mutable ranges : range list (* newest first *) }
@@ -39,12 +37,18 @@ let disk t = t.disk
 let in_txn t = t.current <> None
 
 let begin_txn t =
-  if t.current <> None then raise Transaction_open;
+  if t.current <> None then
+    Error.raise_
+      (Error.Invalid
+         { op = "Rvm.begin_txn"; reason = "a transaction is already open" });
   let txn = { id = t.next_txn; ranges = [] } in
   t.next_txn <- t.next_txn + 1;
   t.current <- Some txn
 
-let current t = match t.current with None -> raise No_transaction | Some x -> x
+let current t ~op =
+  match t.current with
+  | Some x -> x
+  | None -> Error.raise_ (Error.Invalid { op; reason = "no open transaction" })
 
 let words len = (len + 3) / 4
 
@@ -57,7 +61,7 @@ let seg_bytes t ~off ~len =
   b
 
 let set_range t ~off ~len =
-  let txn = current t in
+  let txn = current t ~op:"Rvm.set_range" in
   if off < 0 || len < 0 || off + len > t.size then
     Error.raise_ (Error.Out_of_segment { segment = Segment.id t.seg; off });
   (* Bookkeeping, the old-value save and the redo-record skeleton. *)
@@ -75,14 +79,14 @@ let covered txn ~off ~size =
 let read_word t ~off = Kernel.read_word t.k t.space (t.base + off)
 
 let write_word t ~off v =
-  let txn = current t in
+  let txn = current t ~op:"Rvm.write_word" in
   if t.strict && not (covered txn ~off ~size:4) then
     raise (Unannotated_write { off });
   Kernel.compute t.k Rvm_costs.rvm_write_overhead;
   Kernel.write_word t.k t.space (t.base + off) v
 
 let commit t =
-  let txn = current t in
+  let txn = current t ~op:"Rvm.commit" in
   (* Capture new values of every declared range into redo records and
      force them, oldest range first. *)
   List.iter
@@ -101,7 +105,7 @@ let commit t =
   if Ramdisk.should_truncate t.disk then Ramdisk.truncate t.disk
 
 let abort t =
-  let txn = current t in
+  let txn = current t ~op:"Rvm.abort" in
   (* Restore saved old values, newest range first so overlapping ranges
      unwind correctly. *)
   List.iter

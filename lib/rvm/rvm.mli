@@ -14,8 +14,6 @@
 type t
 
 exception Unannotated_write of { off : int }
-exception No_transaction
-exception Transaction_open
 
 (** Configuration record; override {!Config.default} with the
     functional-update syntax. *)
@@ -43,6 +41,11 @@ val disk : t -> Ramdisk.t
 val in_txn : t -> bool
 
 val begin_txn : t -> unit
+(** Open a transaction. Misuse raises a typed
+    [Lvm_vm.Error.Lvm_error (Invalid { op; reason })] naming the call:
+    [begin_txn] while one is open, or {!set_range}, {!write_word},
+    {!commit} or {!abort} with none open. *)
+
 val set_range : t -> off:int -> len:int -> unit
 (** Declare the next modification; saves the old value and pre-builds the
     redo record (the dominant per-write cost, Table 3). *)

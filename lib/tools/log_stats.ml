@@ -53,7 +53,7 @@ let extent_bytes log =
   let sealed = ref 0 and active = ref 0 in
   for i = 0 to s.Lvm_log.extents - 1 do
     match Lvm_log.extent_state log i with
-    | Lvm_log.Sealed | Lvm_log.Truncatable -> sealed := !sealed + eb
+    | Lvm_log.Sealed -> sealed := !sealed + eb
     | Lvm_log.Active ->
       active := !active + max 0 (min eb (s.Lvm_log.write_pos - (i * eb)))
     | Lvm_log.Recycled -> ()

@@ -47,14 +47,14 @@ type diet = {
   pad : int;  (** Page-boundary pads emitted. *)
   bytes_logical : int;  (** 16 B per logical record — the V0 baseline. *)
   bytes_encoded : int;  (** Stream bytes actually written, pads included. *)
-  sealed_bytes : int;  (** Bytes in sealed/truncatable extents. *)
+  sealed_bytes : int;  (** Bytes in sealed extents. *)
   active_bytes : int;  (** Bytes written into the active extent. *)
 }
 
 val extent_bytes : Lvm_log.t -> int * int
 (** [(sealed, active)] record bytes of the log's extent ring, labeled by
-    extent state: sealed covers [Sealed] and [Truncatable] extents,
-    active the written span of the [Active] extent. *)
+    extent state: sealed covers the [Sealed] extents, active the
+    written span of the [Active] extent. *)
 
 val diet : Lvm_vm.Kernel.t -> log:Lvm_log.t -> txns:int -> diet
 (** Read the kernel's diet counters ([log.coalesce_*], [log.records_*],

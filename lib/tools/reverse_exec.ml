@@ -53,8 +53,8 @@ let position t = t.position
 let apply t w ~record_off (r : Log_record.t) =
   Lvm.Log_reader.charge_read t.k t.log ~off:record_off ~len:Log_record.bytes;
   if w.off >= 0 then
-    Machine.write (Kernel.machine t.k)
-      ~paddr:(Kernel.paddr_of t.k t.working ~off:w.off)
+    let paddr = Kernel.paddr_of t.k t.working ~off:w.off in
+    Machine.write (Kernel.machine t.k) ~paddr ~vaddr:paddr
       ~size:r.Log_record.size ~mode:Machine.Write_back ~logged:false
       r.Log_record.value
 

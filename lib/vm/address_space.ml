@@ -26,6 +26,7 @@ let make ~id =
 
 let id t = t.id
 let lookup t ~vpage = Int_table.find_opt t.table vpage
+let find t ~vpage = Int_table.find t.table vpage
 let install t ~vpage pte = Int_table.replace t.table vpage pte
 let remove t ~vpage = Int_table.remove t.table vpage
 let regions t = t.regions

@@ -21,6 +21,11 @@ val make : id:int -> t
 val id : t -> int
 
 val lookup : t -> vpage:int -> pte option
+
+val find : t -> vpage:int -> pte
+(** {!lookup} without the option, for the per-access path.
+    @raise Not_found if [vpage] has no entry. *)
+
 val install : t -> vpage:int -> pte -> unit
 val remove : t -> vpage:int -> unit
 

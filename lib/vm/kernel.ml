@@ -225,19 +225,23 @@ let rec sync_log t ls =
 and sync_log_pos t ls =
   match Segment.log_index ls with
   | None -> ()
-  | Some index -> (
-    match Logger.log_entry (logger t) ~index with
-    | Some ((Logger.Normal | Logger.Indexed), addr) ->
-      if not (Segment.absorbing ls) then
-        Segment.set_write_pos ls
-          ((Segment.active_page ls * Addr.page_size) + Addr.page_offset addr)
-    | Some (Logger.Direct_mapped, _) -> ()
-    | None ->
+  | Some index ->
+    let addr = Logger.log_entry_addr (logger t) ~index in
+    if addr < 0 then begin
       (* Entry invalidated by a page crossing the kernel has not serviced
          yet: records end exactly at the page boundary. *)
       if not (Segment.absorbing ls) then
         Segment.set_write_pos ls
-          ((Segment.active_page ls + 1) * Addr.page_size))
+          ((Segment.active_page ls + 1) * Addr.page_size)
+    end
+    else begin
+      match Logger.log_entry_mode (logger t) ~index with
+      | Logger.Normal | Logger.Indexed ->
+        if not (Segment.absorbing ls) then
+          Segment.set_write_pos ls
+            ((Segment.active_page ls * Addr.page_size) + Addr.page_offset addr)
+      | Logger.Direct_mapped -> ()
+    end
 
 and deactivate_slot t index =
   match t.log_slots.(index) with
@@ -413,9 +417,9 @@ let install_pte t space ~vaddr =
     pte
 
 let pte_for t space ~vaddr =
-  match Address_space.lookup space ~vpage:(Addr.page_number vaddr) with
-  | Some pte -> pte
-  | None -> install_pte t space ~vaddr
+  match Address_space.find space ~vpage:(Addr.page_number vaddr) with
+  | pte -> pte
+  | exception Not_found -> install_pte t space ~vaddr
 
 (* {1 Protection faults} *)
 

@@ -246,7 +246,8 @@ let test_logger_dma_fail () =
           [ { Plan.site = Fault.Log_dma; trigger = Plan.At_count 2;
               fault = Fault.Dma_fail } ]));
   for i = 0 to 3 do
-    Machine.write m ~paddr:(0x1000 + (i * 4)) ~size:4
+    let paddr = 0x1000 + (i * 4) in
+    Machine.write m ~paddr ~vaddr:paddr ~size:4
       ~mode:Machine.Write_through ~logged:true (100 + i)
   done;
   settle (Machine.logger m);
@@ -553,7 +554,8 @@ let test_overload_recovery () =
   (* back-to-back logged writes with no compute: the FIFO fills faster
      than DMA drains it and the overload interrupt fires (Fig. 11, c=0) *)
   for i = 0 to 1499 do
-    Machine.write m ~paddr:(0x1000 + (i * 4 mod Addr.page_size)) ~size:4
+    let paddr = 0x1000 + (i * 4 mod Addr.page_size) in
+    Machine.write m ~paddr ~vaddr:paddr ~size:4
       ~mode:Machine.Write_through ~logged:true i
   done;
   let p = Machine.perf m in
@@ -583,7 +585,8 @@ let test_forced_fifo_overrun () =
               fault = Fault.Fifo_overrun } ]));
   (* a single logged write: occupancy is far below the threshold, but the
      injected overrun forces the overload interrupt anyway *)
-  Machine.write m ~paddr:0x1000 ~size:4 ~mode:Machine.Write_through
+  Machine.write m ~paddr:0x1000 ~vaddr:0x1000
+    ~size:4 ~mode:Machine.Write_through
     ~logged:true 1;
   let p = Machine.perf m in
   check "forced overload taken" 1 p.Perf.overloads;
@@ -592,7 +595,8 @@ let test_forced_fifo_overrun () =
   check "injection traced" 1
     (Lvm_obs.Snapshot.get (Machine.snapshot m) "fault.injected");
   (* recovered: the next write admits normally *)
-  Machine.write m ~paddr:0x1004 ~size:4 ~mode:Machine.Write_through
+  Machine.write m ~paddr:0x1004 ~vaddr:0x1004
+    ~size:4 ~mode:Machine.Write_through
     ~logged:true 2;
   check "no further overloads" 1 p.Perf.overloads
 

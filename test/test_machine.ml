@@ -495,7 +495,8 @@ let machine_fixture ?hw () =
 let test_machine_logged_write_data_and_record () =
   let m = machine_fixture () in
   Machine.compute m 100;
-  Machine.write m ~paddr:0x1040 ~size:4 ~mode:Machine.Write_through
+  Machine.write m ~paddr:0x1040 ~vaddr:0x1040
+    ~size:4 ~mode:Machine.Write_through
     ~logged:true 0x1234;
   check "data written" 0x1234 (Machine.read m ~paddr:0x1040 ~size:4);
   let r = Log_record.decode_from (Machine.mem m) ~paddr:0x2000 in
@@ -507,7 +508,8 @@ let test_machine_logged_write_requires_write_through () =
   Alcotest.check_raises "logged + write-back rejected"
     (Invalid_argument "Machine.write: logged pages must be write-through")
     (fun () ->
-      Machine.write m ~paddr:0x1040 ~size:4 ~mode:Machine.Write_back
+      Machine.write m ~paddr:0x1040 ~vaddr:0x1040
+        ~size:4 ~mode:Machine.Write_back
         ~logged:true 1)
 
 let test_machine_write_through_slower_than_cached () =
@@ -515,13 +517,15 @@ let test_machine_write_through_slower_than_cached () =
   (* unlogged cached writes to page 4 *)
   let t0 = Machine.time m in
   for i = 0 to 63 do
-    Machine.write m ~paddr:(0x4000 + (i * 4)) ~size:4
+    let paddr = 0x4000 + (i * 4) in
+    Machine.write m ~paddr ~vaddr:paddr ~size:4
       ~mode:Machine.Write_back ~logged:false i
   done;
   let cached = Machine.time m - t0 in
   let t1 = Machine.time m in
   for i = 0 to 63 do
-    Machine.write m ~paddr:(0x1000 + (i * 4)) ~size:4
+    let paddr = 0x1000 + (i * 4) in
+    Machine.write m ~paddr ~vaddr:paddr ~size:4
       ~mode:Machine.Write_through ~logged:true i
   done;
   let logged = Machine.time m - t1 in
@@ -552,7 +556,8 @@ let test_machine_deferred_copy_flow () =
   Machine.write_raw m ~paddr:0x8010 ~size:4 111;
   Machine.dc_map m ~dst_page:9 ~src_addr:0x8000;
   check "read-through to source" 111 (Machine.read m ~paddr:0x9010 ~size:4);
-  Machine.write m ~paddr:0x9010 ~size:4 ~mode:Machine.Write_back ~logged:false
+  Machine.write m ~paddr:0x9010 ~vaddr:0x9010
+    ~size:4 ~mode:Machine.Write_back ~logged:false
     222;
   check "read modified" 222 (Machine.read m ~paddr:0x9010 ~size:4);
   check_bool "page dirty" true (Machine.dc_page_dirty m ~dst_page:9);
@@ -563,7 +568,8 @@ let test_machine_deferred_copy_flow () =
 let test_machine_on_chip_no_overload () =
   let m = machine_fixture ~hw:Logger.On_chip () in
   for i = 0 to 2999 do
-    Machine.write m ~paddr:(0x1000 + (i * 4 mod Addr.page_size)) ~size:4
+    let paddr = 0x1000 + (i * 4 mod Addr.page_size) in
+    Machine.write m ~paddr ~vaddr:paddr ~size:4
       ~mode:Machine.Write_through ~logged:true i
   done;
   let p = Machine.perf m in

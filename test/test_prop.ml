@@ -798,7 +798,8 @@ let prop_charge_read rng size =
       done
     | `Read (paddr, words, false) -> Machine.charge_read m ~paddr ~words
     | `Write (paddr, v) ->
-      Machine.write m ~paddr ~size:4 ~mode:Machine.Write_back ~logged:false v
+      Machine.write m ~paddr ~vaddr:paddr
+        ~size:4 ~mode:Machine.Write_back ~logged:false v
     | `Compute c -> Machine.compute m c
   in
   let outcome m op =
@@ -878,7 +879,7 @@ let line_accesses rng size ~cpus =
 let run_access m ~per_word = function
   | `Cpu c -> Machine.set_cpu m c
   | `Write (paddr, mode) ->
-    Machine.write m ~paddr ~size:4 ~mode ~logged:false paddr
+    Machine.write m ~paddr ~vaddr:paddr ~size:4 ~mode ~logged:false paddr
   | `Compute c -> Machine.compute m c
   | `Read (paddr, words) ->
     if per_word then
@@ -1040,6 +1041,386 @@ let prop_wal_checksum rng size =
   expect (got = want) "kind %d txn %d off %d, %d payload bytes: %x, want %x"
     kind txn off (Bytes.length payload) got want
 
+(* {1 WAL truncation and recovery in place = the rebuilding reference}
+
+   [Ramdisk] truncates and recovers in place: it reads headers from the
+   log buffer, blits committed payloads into the image and slides the
+   surviving records down. The model below is the implementation it
+   replaced — parse every intact record into an entry (copying its
+   payload), replay the committed ones, and serialize the survivors into
+   a fresh log — plus the serializer and fault switch every append goes
+   through. A random mix of appends of all four kinds (some torn, lost or
+   bit-flipped), value appends, forces, raw appends, state loads,
+   recoveries and truncations must leave the image, the log bytes, the
+   charged bytes and the forced length exactly where the model puts
+   them. It catches, for instance, a slide-down one byte off and a
+   truncation that keeps bytes past a torn record. *)
+
+module Wal_model = struct
+  module R = Lvm_rvm.Ramdisk
+
+  let get32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFFFFFF
+
+  (* any header, even one the serializer never writes (a marker with an
+     offset or a payload, an encoded redo with an offset): a peer's raw
+     bytes may carry it *)
+  let record ~kind ~txn ~off payload =
+    let len = Bytes.length payload in
+    let b = Bytes.create (24 + len) in
+    List.iteri
+      (fun i w -> Bytes.set_int32_le b (4 * i) (Int32.of_int w))
+      [ 0x57414C31; kind; txn; off; len ];
+    Bytes.blit payload 0 b 24 len;
+    Bytes.set_int32_le b 20
+      (Int32.of_int (fnv1a (Bytes.cat (Bytes.sub b 4 16) payload)));
+    b
+
+  let serialize (e : R.entry) =
+    match e with
+    | R.Data { txn; off; bytes } -> record ~kind:0 ~txn ~off bytes
+    | R.Commit { txn } -> record ~kind:1 ~txn ~off:0 Bytes.empty
+    | R.Snapshot { snap } -> record ~kind:2 ~txn:snap ~off:0 Bytes.empty
+    | R.Encoded { txn; payload } -> record ~kind:3 ~txn ~off:0 payload
+
+  let entry_bytes : R.entry -> int = function
+    | R.Data { bytes; _ } -> Bytes.length bytes + 12
+    | R.Encoded { payload; _ } -> Bytes.length payload + 12
+    | R.Commit _ | R.Snapshot _ -> 8
+
+  let parse log ~n pos =
+    if n - pos < 24 then Error "short header"
+    else if get32 log pos <> 0x57414C31 then Error "bad magic"
+    else
+      let kind = get32 log (pos + 4) and txn = get32 log (pos + 8) in
+      let off = get32 log (pos + 12) and len = get32 log (pos + 16) in
+      if len > n - pos - 24 then Error "short payload"
+      else
+        let payload = Bytes.sub log (pos + 24) len in
+        let header = Bytes.sub log (pos + 4) 16 in
+        if fnv1a (Bytes.cat header payload) <> get32 log (pos + 20) then
+          Error "checksum mismatch"
+        else
+          let next = pos + 24 + len in
+          match kind with
+          | 0 -> Ok (R.Data { txn; off; bytes = payload }, next)
+          | 1 -> Ok (R.Commit { txn }, next)
+          | 2 -> Ok (R.Snapshot { snap = txn }, next)
+          | 3 -> Ok (R.Encoded { txn; payload }, next)
+          | _ -> Error "bad record kind"
+
+  (* intact entries from [from], where they end, why the walk stopped *)
+  let scan ?(from = 0) log ~n =
+    let rec go pos acc =
+      if pos >= n then (List.rev acc, pos, None)
+      else
+        match parse log ~n pos with
+        | Ok (e, next) -> go next (e :: acc)
+        | Error why -> (List.rev acc, pos, Some why)
+    in
+    go from []
+
+  (* committed set, markers, writes applied *)
+  let replay image entries =
+    let committed = Hashtbl.create 8 and markers = ref 0 in
+    List.iter
+      (function
+        | R.Commit { txn } | R.Snapshot { snap = txn } ->
+          incr markers;
+          Hashtbl.replace committed txn ()
+        | R.Data _ | R.Encoded _ -> ())
+      entries;
+    let applied = ref 0 in
+    let write off bytes =
+      incr applied;
+      Bytes.blit bytes 0 image off (Bytes.length bytes)
+    in
+    List.iter
+      (function
+        | R.Data { txn; off; bytes } when Hashtbl.mem committed txn ->
+          write off bytes
+        | R.Encoded { txn; payload } when Hashtbl.mem committed txn ->
+          let rs, _ =
+            Lvm_machine.Log_record.Codec.decode_fragment payload ~pos:0
+              ~len:(Bytes.length payload)
+          in
+          List.iter
+            (fun (r : Lvm_machine.Log_record.t) ->
+              if not r.pre_image then
+                write r.addr (Lvm_machine.Log_record.value_bytes r))
+            rs
+        | R.Data _ | R.Encoded _ | R.Commit _ | R.Snapshot _ -> ())
+      entries;
+    (committed, !markers, !applied)
+
+  type t = {
+    mutable image : Bytes.t;
+    mutable log : Bytes.t;
+    mutable charged : int;
+    mutable forced : int;
+  }
+
+  let rebuild m entries =
+    m.log <- Bytes.concat Bytes.empty (List.map serialize entries);
+    m.charged <- List.fold_left (fun a e -> a + entry_bytes e) 0 entries;
+    m.forced <- Bytes.length m.log
+
+  let charge_from m ~from =
+    let es, _, _ = scan ~from m.log ~n:(Bytes.length m.log) in
+    m.charged <- List.fold_left (fun a e -> a + entry_bytes e) m.charged es
+
+  let truncate m =
+    let n = Bytes.length m.log in
+    let entries, _, _ = scan m.log ~n in
+    let committed, _, _ = replay m.image entries in
+    rebuild m
+      (List.filter
+         (function
+           | R.Data { txn; _ } | R.Encoded { txn; _ } ->
+             not (Hashtbl.mem committed txn)
+           | R.Commit _ | R.Snapshot _ -> false)
+         entries);
+    n - Bytes.length m.log
+
+  let recover m ~durable =
+    let n = min durable (Bytes.length m.log) in
+    let entries, valid_end, torn = scan m.log ~n in
+    rebuild m entries;
+    let image = Bytes.copy m.image in
+    let _, markers, applied = replay image entries in
+    (image, (List.length entries, markers, applied, n - valid_end, torn))
+end
+
+let prop_wal_in_place rng size =
+  let module R = Lvm_rvm.Ramdisk in
+  let module M = Wal_model in
+  let img = 64 in
+  let k = Lvm_vm.Kernel.create ~frames:64 () in
+  let machine = Lvm_vm.Kernel.machine k in
+  let rd = R.create k ~size:img in
+  let volatile = Sm.bool rng in
+  R.set_volatile_tail rd volatile;
+  let removed = ref 0 in
+  R.set_on_truncate rd (Some (fun ~removed:r -> removed := !removed + r));
+  let m =
+    { M.image = Bytes.make img '\000'; log = Bytes.empty; charged = 0;
+      forced = 0 }
+  in
+  let ops = Buffer.create 256 in
+  let note fmt = Printf.ksprintf (fun s -> Buffer.add_string ops s) fmt in
+  let same what =
+    let log = R.log_read rd ~off:0 ~len:(R.log_bytes rd) in
+    expect
+      (Bytes.equal (R.image_read rd ~off:0 ~len:img) m.M.image
+      && Bytes.equal log m.M.log
+      && R.wal_bytes rd = m.M.charged
+      && R.forced_bytes rd = m.M.forced)
+      "after %s (ops:%s): image %b, log %d vs %d bytes (equal %b), charged \
+       %d vs %d, forced %d vs %d"
+      what (Buffer.contents ops)
+      (Bytes.equal (R.image_read rd ~off:0 ~len:img) m.M.image)
+      (Bytes.length log) (Bytes.length m.M.log) (Bytes.equal log m.M.log)
+      (R.wal_bytes rd) m.M.charged (R.forced_bytes rd) m.M.forced
+  in
+  let txn () = 1 + Sm.int rng ~bound:6 in
+  let random_bytes n =
+    Bytes.init n (fun _ -> Char.chr (Sm.int rng ~bound:256))
+  in
+  let random_entry () : R.entry =
+    match Sm.int rng ~bound:6 with
+    | 0 | 1 ->
+      let len = 1 + Sm.int rng ~bound:8 in
+      R.Data
+        { txn = txn (); off = Sm.int rng ~bound:(img - len + 1);
+          bytes = random_bytes len }
+    | 2 | 3 -> R.Commit { txn = txn () }
+    | 4 -> R.Snapshot { snap = txn () }
+    | _ ->
+      let records =
+        List.init
+          (1 + Sm.int rng ~bound:3)
+          (fun _ ->
+            { Lvm_machine.Log_record.addr = 4 * Sm.int rng ~bound:(img / 4);
+              value = Sm.int rng ~bound:0x1000000; size = 4;
+              timestamp = 0; pre_image = Sm.int rng ~bound:4 = 0 })
+      in
+      R.Encoded
+        { txn = txn ();
+          payload = Lvm_machine.Log_record.Codec.encode_stream records }
+  in
+  let records n =
+    Bytes.concat Bytes.empty
+      (List.init n (fun _ ->
+           match random_entry () with
+           | (R.Commit { txn } | R.Snapshot { snap = txn }) as e
+             when Sm.int rng ~bound:3 = 0 ->
+             let kind = match e with R.Commit _ -> 1 | _ -> 2 in
+             M.record ~kind ~txn ~off:(Sm.int rng ~bound:3)
+               (random_bytes (Sm.int rng ~bound:3))
+           | R.Encoded { txn; payload } when Sm.int rng ~bound:3 = 0 ->
+             M.record ~kind:3 ~txn ~off:(1 + Sm.int rng ~bound:8) payload
+           | e -> M.serialize e))
+  in
+  let with_fault f =
+    Lvm_machine.Machine.set_fault_plan machine
+      (Option.map
+         (fun fault ->
+           Lvm_fault.Plan.create
+             [ { Lvm_fault.Plan.site = Lvm_fault.Fault.Ramdisk_write;
+                 trigger = Lvm_fault.Plan.At_count 1; fault } ])
+         f)
+  in
+  (* one append through the real disk and the model's serializer and
+     fault switch *)
+  let append (e : R.entry) ~via_value =
+    let s = M.serialize e in
+    let total = Bytes.length s in
+    let fault =
+      match Sm.int rng ~bound:8 with
+      | 0 -> Some (Lvm_fault.Fault.Torn_write { keep = Sm.int rng ~bound:40 })
+      | 1 -> Some Lvm_fault.Fault.Failed_write
+      | 2 ->
+        Some
+          (Lvm_fault.Fault.Bit_flip
+             { byte = Sm.int rng ~bound:200 - 100; bit = Sm.int rng ~bound:8 })
+      | _ -> None
+    in
+    with_fault fault;
+    let run () =
+      match e with
+      | R.Data { txn; off; bytes } when via_value ->
+        let size = Bytes.length bytes in
+        let value =
+          match size with
+          | 1 -> Bytes.get_uint8 bytes 0
+          | 2 -> Bytes.get_uint16_le bytes 0
+          | _ -> M.get32 bytes 0
+        in
+        R.wal_append_value rd ~txn ~off ~size ~value
+      | _ -> R.wal_append rd e
+    in
+    (match fault with
+    | Some (Lvm_fault.Fault.Torn_write { keep }) ->
+      note " torn%d" keep;
+      (match run () with
+      | () -> failwith "torn append did not crash"
+      | exception Lvm_fault.Fault.Crashed _ -> ());
+      let kept = max 1 (min keep (total - 1)) in
+      m.M.log <- Bytes.cat m.M.log (Bytes.sub s 0 kept)
+    | Some Lvm_fault.Fault.Failed_write ->
+      note " lost";
+      run ()
+    | Some (Lvm_fault.Fault.Bit_flip { byte; bit }) ->
+      note " flip%d.%d" byte bit;
+      run ();
+      let pos = ((byte mod total) + total) mod total in
+      Bytes.set s pos
+        (Char.chr (Char.code (Bytes.get s pos) lxor (1 lsl (bit land 7))));
+      m.M.log <- Bytes.cat m.M.log s;
+      m.M.charged <- m.M.charged + M.entry_bytes e
+    | Some _ | None ->
+      run ();
+      m.M.log <- Bytes.cat m.M.log s;
+      m.M.charged <- m.M.charged + M.entry_bytes e);
+    with_fault None
+  in
+  for _ = 1 to 1 + size do
+    match Sm.int rng ~bound:16 with
+    | 0 | 1 | 2 | 3 | 4 | 5 ->
+      let e = random_entry () in
+      note " append";
+      append e ~via_value:false;
+      same "append"
+    | 6 | 7 ->
+      let size = [| 1; 2; 4 |].(Sm.int rng ~bound:3) in
+      let off = size * Sm.int rng ~bound:(img / size) in
+      note " value%d@%d" size off;
+      append (R.Data { txn = txn (); off; bytes = random_bytes size })
+        ~via_value:true;
+      same "value append"
+    | 8 ->
+      note " force";
+      R.wal_force rd;
+      m.M.forced <- Bytes.length m.M.log;
+      same "force"
+    | 9 ->
+      (* whole records from elsewhere, sometimes cut or corrupted *)
+      let raw =
+        records (1 + Sm.int rng ~bound:3)
+      in
+      let raw =
+        match Sm.int rng ~bound:4 with
+        | 0 -> Bytes.sub raw 0 (Sm.int rng ~bound:(Bytes.length raw))
+        | 1 ->
+          let pos = Sm.int rng ~bound:(Bytes.length raw) in
+          Bytes.set raw pos (Char.chr (Char.code (Bytes.get raw pos) lxor 4));
+          raw
+        | _ -> raw
+      in
+      note " raw%d" (Bytes.length raw);
+      R.log_append_raw rd raw;
+      let from = Bytes.length m.M.log in
+      m.M.log <- Bytes.cat m.M.log raw;
+      M.charge_from m ~from;
+      m.M.forced <- Bytes.length m.M.log;
+      same "raw append"
+    | 10 ->
+      let image = random_bytes img in
+      let log =
+        records (Sm.int rng ~bound:4)
+      in
+      note " load%d" (Bytes.length log);
+      R.load_state rd ~image ~log;
+      m.M.image <- Bytes.copy image;
+      m.M.log <- Bytes.copy log;
+      m.M.charged <- 0;
+      M.charge_from m ~from:0;
+      m.M.forced <- Bytes.length log;
+      same "load_state"
+    | 11 | 12 ->
+      note " recover";
+      let durable = if volatile then m.M.forced else max_int in
+      let want_image, (scanned, committed, replayed, truncated, torn) =
+        M.recover m ~durable
+      in
+      let image, r = R.recover rd in
+      expect
+        (Bytes.equal image want_image
+        && r.R.scanned = scanned && r.R.committed = committed
+        && r.R.replayed = replayed && r.R.truncated_bytes = truncated
+        && r.R.torn = torn)
+        "recover (ops:%s): %s, want scanned=%d committed=%d replayed=%d \
+         truncated=%d torn=%s (image %b)"
+        (Buffer.contents ops) (R.recovery_to_string r) scanned committed
+        replayed truncated
+        (Option.value torn ~default:"none")
+        (Bytes.equal image want_image);
+      same "recover"
+    | 13 ->
+      note " image";
+      let want = Bytes.copy m.M.image in
+      let durable = if volatile then min m.M.forced (Bytes.length m.M.log)
+        else Bytes.length m.M.log in
+      let entries, _, _ = M.scan m.M.log ~n:durable in
+      ignore (M.replay want entries);
+      expect
+        (Bytes.equal (R.recovered_image rd) want)
+        "recovered_image (ops:%s) differs from the model" (Buffer.contents ops)
+    | _ ->
+      note " truncate";
+      let before = !removed in
+      R.truncate rd;
+      let want_removed = M.truncate m in
+      expect
+        (!removed - before = want_removed)
+        "truncate (ops:%s) removed %d bytes, want %d" (Buffer.contents ops)
+        (!removed - before) want_removed;
+      same "truncate"
+  done;
+  let entries, _, _ = M.scan m.M.log ~n:(Bytes.length m.M.log) in
+  expect
+    (R.entry_count rd = List.length entries)
+    "entry_count %d, want %d" (R.entry_count rd) (List.length entries)
+
 let prop name ?max_size ?cases:c p =
   let shown = match c with None -> cases | Some c -> c in
   Alcotest.test_case (Printf.sprintf "%s (%d cases)" name shown) `Quick
@@ -1054,6 +1435,8 @@ let suites =
         prop "logger overload threshold" ~max_size:128 prop_logger_overload;
         prop "bus arbiter fairness" prop_bus_fairness;
         prop "wal round-trip + torn tail" ~max_size:128 prop_wal;
+        prop "wal truncate + recover in place = reference" ~max_size:64
+          prop_wal_in_place;
         prop "extent ring fold round-trip" ~max_size:64 prop_extent_ring;
         prop "sparse physmem vs flat bytes" ~max_size:64 ~cases:(min cases 300)
           prop_physmem_sparse;

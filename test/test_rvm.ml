@@ -111,11 +111,17 @@ let test_rvm_missed_annotation_corrupts () =
 let test_rvm_txn_discipline () =
   let k, sp = boot () in
   let r = Rvm.make Rvm.Config.default k sp ~size:4096 in
-  Alcotest.check_raises "set_range outside txn" Rvm.No_transaction (fun () ->
-      Rvm.set_range r ~off:0 ~len:4);
+  Alcotest.check_raises "set_range outside txn"
+    (Lvm_vm.Error.Lvm_error
+       (Lvm_vm.Error.Invalid
+          { op = "Rvm.set_range"; reason = "no open transaction" }))
+    (fun () -> Rvm.set_range r ~off:0 ~len:4);
   Rvm.begin_txn r;
-  Alcotest.check_raises "nested txn" Rvm.Transaction_open (fun () ->
-      Rvm.begin_txn r)
+  Alcotest.check_raises "nested txn"
+    (Lvm_vm.Error.Lvm_error
+       (Lvm_vm.Error.Invalid
+          { op = "Rvm.begin_txn"; reason = "a transaction is already open" }))
+    (fun () -> Rvm.begin_txn r)
 
 let test_rvm_wal_truncation_under_load () =
   let k, sp = boot () in
@@ -188,8 +194,36 @@ let test_rlvm_no_annotations_needed () =
 let test_rlvm_write_outside_txn_rejected () =
   let k, sp = boot () in
   let r = Rlvm.make Rlvm.Config.default k sp ~size:4096 in
-  Alcotest.check_raises "write outside txn" Rlvm.No_transaction (fun () ->
-      Rlvm.write_word r ~off:0 1)
+  Alcotest.check_raises "write outside txn"
+    (Lvm_vm.Error.Lvm_error
+       (Lvm_vm.Error.Invalid
+          { op = "Rlvm.write_word"; reason = "no open transaction" }))
+    (fun () -> Rlvm.write_word r ~off:0 1)
+
+(* Commit builds nothing per write: the redo goes from the LVM log
+   straight into the WAL buffer and the CULT replays it in place, so a
+   commit of 64 writes allocates no more than one of 4 writes, up to a
+   small slack. The first commit touches every page and table. *)
+let test_rlvm_commit_words_flat () =
+  let k, sp = boot () in
+  let r = Rlvm.make Rlvm.Config.default k sp ~size:4096 in
+  let commit_words writes =
+    Rlvm.begin_txn r;
+    for i = 0 to writes - 1 do
+      Rlvm.write_word r ~off:(i * 4) (i + writes)
+    done;
+    let before = Gc.minor_words () in
+    Rlvm.commit r;
+    Gc.minor_words () -. before
+  in
+  ignore (commit_words 64);
+  let w4 = commit_words 4 in
+  let w64 = commit_words 64 in
+  check_bool
+    (Printf.sprintf "commit of 64 writes %.0f words, of 4 writes %.0f" w64 w4)
+    true
+    (w64 -. w4 <= 16.);
+  check "last commit visible" (63 + 64) (Rlvm.read_word r ~off:(63 * 4))
 
 let test_rlvm_repeated_writes_ordered () =
   (* multiple writes to one location: the last committed value wins after
@@ -380,6 +414,8 @@ let suites =
           test_rlvm_no_annotations_needed;
         Alcotest.test_case "write outside txn rejected" `Quick
           test_rlvm_write_outside_txn_rejected;
+        Alcotest.test_case "commit words independent of write count" `Quick
+          test_rlvm_commit_words_flat;
         Alcotest.test_case "repeated writes ordered" `Quick
           test_rlvm_repeated_writes_ordered;
         QCheck_alcotest.to_alcotest prop_rvm_rlvm_equivalent;

@@ -529,7 +529,8 @@ let test_replay_allocates_nothing_per_record () =
     Lvm.Checkpoint.replay k ~log:ls ~from:0 ~seg:working
       ~f:(fun ~off:_ ~paddr ~size ~value ->
         incr seen;
-        Machine.write m ~paddr ~size ~mode:Machine.Write_back ~logged:false
+        Machine.write m ~paddr ~vaddr:paddr
+          ~size ~mode:Machine.Write_back ~logged:false
           value;
         true)
   in
@@ -539,6 +540,34 @@ let test_replay_allocates_nothing_per_record () =
   check_bool
     (Printf.sprintf "%.0f minor words for 2000 records" words)
     true (words < 2000.)
+
+(* A logged store under V0 with the prototype logger allocates nothing:
+   no page-table option, no virtual-address option, no closure, no raw
+   entry and no record on its way into the log. A first burst
+   materializes every log page the second one reaches. *)
+let test_logged_write_allocates_nothing () =
+  let k, sp = boot () in
+  let working = Kernel.create_segment k ~size:Addr.page_size in
+  let region = Kernel.create_region k working in
+  let log = Lvm_log.create k ~size:(64 * Addr.page_size) in
+  Kernel.set_region_log k region (Some (Lvm_log.segment log));
+  let base = Kernel.bind k sp region in
+  let writes = 10_000 in
+  let burst () =
+    for i = 0 to writes - 1 do
+      Kernel.write_word k sp (base + (i mod 1024 * 4)) i
+    done
+  in
+  burst ();
+  Lvm_log.truncate_suffix log ~new_end:0;
+  let before = Gc.minor_words () in
+  burst ();
+  let words = Gc.minor_words () -. before in
+  check "every write logged" (writes * Log_record.bytes) (Lvm_log.length log);
+  check_bool
+    (Printf.sprintf "%.0f minor words for %d logged writes" words writes)
+    true
+    (words < float_of_int writes)
 
 (* Property: rolling back after a random write burst reproduces exactly
    the state obtained by applying the kept prefix to the initial state. *)
@@ -637,6 +666,8 @@ let suites =
       ] );
     ( "vm.logging",
       [
+        Alcotest.test_case "logged write allocates nothing" `Quick
+          test_logged_write_allocates_nothing;
         Alcotest.test_case "records for logged region" `Quick
           test_logged_region_records;
         Alcotest.test_case "locate record" `Quick test_logged_records_locate;
